@@ -21,25 +21,16 @@ import numpy as np
 
 from .brackets import (BRACKET_TOL, bracket_scale, gradient, poisson_bracket,
                        scaled_residual)
+from .catalog import CATALOG, lookup
 from .dynamics import IntegratorConfig, drift_report, integrate
 from .errors import EmptyTrajectory, NoQuadraticIntegral, UnknownIntegral
 from .families import hamiltonian
-from .observables import (a_components, family_integrals, family_observables,
-                          integral, lambda_factor, m_components, n_components)
+from .formulas import kinetic_noether
+from .observables import family_integrals, family_observables, integral
 from .phase import DomainBox, sample_points
 
 # paired integrals whose mutual independence carries each family's claim
-CLAIMED_TRIPLES = {
-    "geodesic": ("P1", "P2", "Pphi"),
-    "na_central": ("J1", "J11", "J22"),
-    "na": ("Ja1", "Ja2", "Ja3"),
-    "na_prime": ("Ja3p", "J2", "J3"),
-    "nb": ("Jb1", "Jb2", "Jb3"),
-    "nc": ("J1", "J2", "J3"),
-    "nc1": ("Jc2", "Jc3", "H"),
-    "nc2": ("Jc2", "Jc3", "H"),
-    "nd": ("Jd2", "Jd3", "H"),
-}
+CLAIMED_TRIPLES = {name: fam.triple for name, fam in CATALOG.items()}
 
 RANK_REL_THRESHOLD = 1e-8
 CORRUPTION_FACTOR = 0.1
@@ -64,7 +55,6 @@ class SampleConfig:
 @dataclass(frozen=True)
 class ResidualStats:
     max_residual: float
-    mean_residual: float
 
 
 @dataclass(frozen=True)
@@ -100,14 +90,7 @@ class CheckResult:
 class Certificate:
     params: object
     checks: tuple
-    involution_stats: dict
-    independence_fraction: float
-    rank_failures: tuple
     verdict: str
-
-    @property
-    def family(self):
-        return self.params.family
 
     def check(self, name):
         for c in self.checks:
@@ -134,7 +117,7 @@ def _points(params, sample):
 
 
 def bracket_residual_suite(params, sample, points=None, corrupt=None):
-    """Per-integral max/mean scaled |{J, H}| over the sample.
+    """Per-integral max scaled |{J, H}| over the sample.
 
     `corrupt` names one integral to replace by its +10% corrupted version,
     demonstrating end to end that the harness turns the verdict.
@@ -153,8 +136,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
                     f"corruption of single-term integral {obs.name} is inert")
         residuals = [scaled_residual(fn, hamiltonian, params, pt)
                      for pt in points]
-        out[obs.name] = ResidualStats(max(residuals),
-                                      sum(residuals) / len(residuals))
+        out[obs.name] = ResidualStats(max(residuals))
     return out
 
 
@@ -168,7 +150,7 @@ def involution_check(params, pairs=None, sample=None, points=None):
     if points is None:
         points = _points(params, sample or SampleConfig())
     if pairs is None:
-        names = [n for n in CLAIMED_TRIPLES[params.family] if n != "H"]
+        names = [n for n in lookup(params.family).triple if n != "H"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     out = {}
     for name_a, name_b in pairs:
@@ -188,10 +170,7 @@ def independence_rank(functions, params, point):
     """
     if not 2 <= len(functions) <= 4:
         raise ValueError("rank check takes 2 to 4 functions")
-    rows = []
-    for fn in functions:
-        g = gradient(fn, params, point)
-        rows.append((g.dF_dr, g.dF_dphi, g.dF_dpr, g.dF_dpphi))
+    rows = [gradient(fn, params, point).as_tuple() for fn in functions]
     sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
     if sv[0] == 0.0:
         return 0, sv
@@ -205,7 +184,7 @@ def independence_stats(params, sample, names=None, points=None):
     singular values for inspection.
     """
     points = points if points is not None else _points(params, sample)
-    names = names or CLAIMED_TRIPLES[params.family]
+    names = names or lookup(params.family).triple
     functions = [integral(params.family, name) for name in names]
     failures = []
     hits = 0
@@ -248,116 +227,35 @@ def _rel(lhs, rhs):
 
 
 def identity_suite(params, sample, points=None):
-    """Structural identities, pointwise, relative to max(1, |LHS|, |RHS|)."""
+    """Structural identities, pointwise, relative to max(1, |LHS|, |RHS|):
+    the kinetic-Noether identity for every family, then the family's own."""
     points = points if points is not None else _points(params, sample)
-    family = params.family
+    identities = ((("kinetic_noether", kinetic_noether),)
+                  + lookup(params.family).identities)
     out = {}
-
-    def record(name, fn):
-        out[name] = max(fn(pt) for pt in points)
-
-    def kinetic_noether(pt):
-        r, phi, p_r, p_phi = pt.as_tuple()
-        t_val = integral(family, "T")(params, r, phi, p_r, p_phi)
-        p1 = integral("geodesic", "P1")(params, r, phi, p_r, p_phi)
-        p2 = integral("geodesic", "P2")(params, r, phi, p_r, p_phi)
-        return _rel(t_val, 0.5 * (p1 * p1 + p2 * p2))
-
-    record("kinetic_noether", kinetic_noether)
-
-    if family == "na_central":
-        j11 = integral(family, "J11")
-        j22 = integral(family, "J22")
-
-        def sum_rule(pt):
-            args = (params,) + pt.as_tuple()
-            return _rel(hamiltonian(*args),
-                        0.5 * (j11(*args) + j22(*args)))
-
-        record("sum_rule_h", sum_rule)
-
-    if family == "na_prime":
-        ja1p = integral(family, "Ja1p")
-        ja2p = integral(family, "Ja2p")
-        j2 = integral(family, "J2")
-        j3 = integral(family, "J3")
-        m1, m2 = m_components
-        n1, n2 = n_components("double")
-
-        def sum_rule(pt):
-            args = (params,) + pt.as_tuple()
-            return _rel(2.0 * hamiltonian(*args), ja1p(*args) + ja2p(*args))
-
-        def reconstruct(pt):
-            # M N* = (M1 N1 + M2 N2) + i (M2 N1 - M1 N2); its real part
-            # reproduces J2 and its imaginary part reproduces -J3
-            args = (params,) + pt.as_tuple()
-            mv1, mv2 = m1(*args), m2(*args)
-            nv1, nv2 = n1(*args), n2(*args)
-            re = _rel(mv1 * nv1 + mv2 * nv2, j2(*args))
-            im = _rel(mv2 * nv1 - mv1 * nv2, -j3(*args))
-            return max(re, im)
-
-        def unit_modulus(pt):
-            args = (params,) + pt.as_tuple()
-            nv1, nv2 = n1(*args), n2(*args)
-            return _rel(nv1 * nv1 + nv2 * nv2, 1.0)
-
-        record("sum_rule_h", sum_rule)
-        record("mn_reconstruct", reconstruct)
-        record("n_unit_modulus", unit_modulus)
-
-    if family == "nd":
-        jd2 = integral(family, "Jd2")
-        jd3 = integral(family, "Jd3")
-        a1, a2 = a_components
-        n1, n2 = n_components("single")
-
-        def reconstruct(pt):
-            # A N = (A1 N1 - A2 N2) + i (A1 N2 + A2 N1); -Re gives Jd2 and
-            # +Im gives Jd3
-            args = (params,) + pt.as_tuple()
-            av1, av2 = a1(*args), a2(*args)
-            nv1, nv2 = n1(*args), n2(*args)
-            re = _rel(-(av1 * nv1 - av2 * nv2), jd2(*args))
-            im = _rel(av1 * nv2 + av2 * nv1, jd3(*args))
-            return max(re, im)
-
-        def modulus(pt):
-            args = (params,) + pt.as_tuple()
-            av1, av2 = a1(*args), a2(*args)
-            return _rel(av1 * av1 + av2 * av2,
-                        jd2(*args) ** 2 + jd3(*args) ** 2)
-
-        record("an_reconstruct", reconstruct)
-        record("a_modulus", modulus)
-
+    for name, fn in identities:
+        out[name] = max(max(_rel(lhs, rhs)
+                            for lhs, rhs in fn(params, *pt.as_tuple()))
+                        for pt in points)
     return out
 
 
 def algebra_check(params, sample, points=None):
-    """The closed bracket relations among the third integral and the
-    Runge-Lenz pair of the single-angle oscillator family."""
-    if params.family != "na_prime":
-        raise ValueError("algebra relations are bound to na_prime")
+    """The closed bracket relations {A, B} = rhs the family carries (the
+    third integral and the Runge-Lenz pair of the single-angle oscillator
+    family); empty for families that carry none."""
     points = points if points is not None else _points(params, sample)
-    n = params.n
-    k0, k1, k2 = params.k0, params.k1, params.k2
-    ja3p = integral("na_prime", "Ja3p")
-    j2 = integral("na_prime", "J2")
-    j3 = integral("na_prime", "J3")
-    out = {"bracket_j2": 0.0, "bracket_j3": 0.0}
-    for pt in points:
-        args = (params,) + pt.as_tuple()
-        b2 = poisson_bracket(ja3p, j2, params, pt)
-        rhs2 = 4.0 * (n - 1.0) * (k0 * j3(*args) + k1 * k2)
-        scale2 = bracket_scale(ja3p(*args), j2(*args), pt)
-        out["bracket_j2"] = max(out["bracket_j2"], abs(b2 - rhs2) / scale2)
-
-        b3 = poisson_bracket(ja3p, j3, params, pt)
-        rhs3 = -2.0 * (n - 1.0) * (2.0 * k0 * j2(*args) + k1 * k1 - k2 * k2)
-        scale3 = bracket_scale(ja3p(*args), j3(*args), pt)
-        out["bracket_j3"] = max(out["bracket_j3"], abs(b3 - rhs3) / scale3)
+    out = {}
+    for name, name_a, name_b, rhs in lookup(params.family).algebra:
+        obs_a = integral(params.family, name_a)
+        obs_b = integral(params.family, name_b)
+        worst = 0.0
+        for pt in points:
+            args = (params,) + pt.as_tuple()
+            res = abs(poisson_bracket(obs_a, obs_b, params, pt) - rhs(*args))
+            worst = max(worst, res / bracket_scale(obs_a(*args),
+                                                   obs_b(*args), pt))
+        out[name] = worst
     return out
 
 
@@ -367,33 +265,18 @@ def evolution_law_check(params, sample, points=None):
     na_prime: {M, H} = 2 i lam M and {N, H} = 2 i lam N with the
     (n-1)-inclusive lam convention; nd: {A, H} = -i (n-1) lam A and
     {N, H} = +i (n-1) lam N with lam = r^{2(n-1)} p_phi, plus conservation
-    of both real components of the product A N.
+    of both real components of the product A N.  Empty for families that
+    carry no complex factor.
     """
-    family = params.family
-    if family not in ("na_prime", "nd"):
-        raise ValueError("evolution laws are bound to na_prime and nd")
+    fam = lookup(params.family)
     points = points if points is not None else _points(params, sample)
-
-    if family == "na_prime":
-        z1, z2 = m_components
-        n1, n2 = n_components("double")
-        pairs = (("m", z1, z2), ("n", n1, n2))
-        section, outer = "s61", 2.0
-    else:
-        z1, z2 = a_components
-        n1, n2 = n_components("single")
-        pairs = (("a", z1, z2), ("n", n1, n2))
-        section, outer = "s62", params.n - 1.0
-
     out = {}
-    for label, re_fn, im_fn in pairs:
-        # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re;
-        # the single-angle A factor instead obeys {A,H} = -i c A
-        sign = -1.0 if (family == "nd" and label == "a") else 1.0
+    for label, (re_fn, im_fn), rate in fam.laws:
+        # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re
         worst = 0.0
         for pt in points:
             args = (params,) + pt.as_tuple()
-            c = sign * outer * lambda_factor(section, params.n, pt)
+            c = rate(params, pt)
             zr, zi = re_fn(*args), im_fn(*args)
             h_val = hamiltonian(*args)
             scale = bracket_scale(math.hypot(zr, zi), h_val, pt)
@@ -404,15 +287,8 @@ def evolution_law_check(params, sample, points=None):
             worst = max(worst, max(res_r, res_i) / scale)
         out[f"{label}_law"] = worst
 
-    if family == "nd":
-        def prod_re(p, r, phi, p_r, p_phi):
-            return (z1(p, r, phi, p_r, p_phi) * n1(p, r, phi, p_r, p_phi)
-                    - z2(p, r, phi, p_r, p_phi) * n2(p, r, phi, p_r, p_phi))
-
-        def prod_im(p, r, phi, p_r, p_phi):
-            return (z1(p, r, phi, p_r, p_phi) * n2(p, r, phi, p_r, p_phi)
-                    + z2(p, r, phi, p_r, p_phi) * n1(p, r, phi, p_r, p_phi))
-
+    if fam.conserved_product:
+        prod_re, prod_im = fam.conserved_product
         out["product_conserved"] = max(
             max(scaled_residual(prod_re, hamiltonian, params, pt),
                 scaled_residual(prod_im, hamiltonian, params, pt))
@@ -496,18 +372,19 @@ def certificate(params, sample=None, config=None, corrupt=None):
             f"bracket:{name}", stats.max_residual, sample.bracket_tol,
             stats.max_residual <= sample.bracket_tol, note=note))
 
-    involution_stats = involution_check(params, sample=sample, points=points)
-    if params.family == "na_central":
-        res = involution_stats["J11,J22"]
+    fam = lookup(params.family)
+    if fam.commuting:
+        pair = ",".join(fam.commuting)
+        res = involution_check(params, pairs=[fam.commuting],
+                               points=points)[pair]
         checks.append(CheckResult(
-            "involution:J11,J22", res, sample.bracket_tol,
+            f"involution:{pair}", res, sample.bracket_tol,
             res <= sample.bracket_tol))
 
-    names = CLAIMED_TRIPLES[params.family]
-    fraction, failures = independence_stats(params, sample, names, points)
+    fraction, _ = independence_stats(params, sample, fam.triple, points)
     floor = sample.independence_fraction
     checks.append(CheckResult(
-        "independence:" + ",".join(names), 1.0 - fraction, 1.0 - floor,
+        "independence:" + ",".join(fam.triple), 1.0 - fraction, 1.0 - floor,
         fraction >= floor,
         note=f"full rank at {fraction:.1%} of {len(points)} points"))
 
@@ -521,22 +398,13 @@ def certificate(params, sample=None, config=None, corrupt=None):
             "killing_tensor", None, sample.bracket_tol, None,
             note=f"skipped: {exc}"))
 
-    for name, res in identity_suite(params, sample, points).items():
-        checks.append(CheckResult(
-            f"identity:{name}", res, sample.identity_tol,
-            res <= sample.identity_tol))
-
-    if params.family == "na_prime":
-        for name, res in algebra_check(params, sample, points).items():
-            checks.append(CheckResult(
-                f"algebra:{name}", res, sample.bracket_tol,
-                res <= sample.bracket_tol))
-
-    if params.family in ("na_prime", "nd"):
-        for name, res in evolution_law_check(params, sample, points).items():
-            checks.append(CheckResult(
-                f"evolution:{name}", res, sample.evolution_tol,
-                res <= sample.evolution_tol))
+    for prefix, suite, tol in (
+            ("identity", identity_suite, sample.identity_tol),
+            ("algebra", algebra_check, sample.bracket_tol),
+            ("evolution", evolution_law_check, sample.evolution_tol)):
+        for name, res in suite(params, sample, points).items():
+            checks.append(CheckResult(f"{prefix}:{name}", res, tol,
+                                      res <= tol))
 
     results, inert = corruption_suite(params, sample, points)
     if results:
@@ -567,8 +435,5 @@ def certificate(params, sample=None, config=None, corrupt=None):
     return Certificate(
         params=params,
         checks=tuple(checks),
-        involution_stats=involution_stats,
-        independence_fraction=fraction,
-        rank_failures=failures,
         verdict=verdict,
     )

@@ -17,10 +17,11 @@ import math
 import os
 import sys
 
+from .catalog import CATALOG
 from .certify import SampleConfig, certificate
 from .dynamics import COMPLETED, IntegratorConfig, drift_report, integrate
 from .errors import EmptyTrajectory, PdmError
-from .families import CATALOG, euclid_equivalence_residual
+from .families import euclid_equivalence_residual
 from .phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 EXIT_PASS = 0
@@ -29,7 +30,8 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 # n = 0 reduction targets for the four flat-plane reference tags
-XCHECK_FAMILIES = {"a": "na", "b": "nb", "c": "nc1", "d": "nd"}
+XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
+                   if fam.reduction}
 XCHECK_TOL = 1e-12
 XCHECK_MARGIN = 0.05
 
@@ -103,18 +105,25 @@ _CHECK_DEFAULTS = {
 }
 
 
+def _open_out(path, parser):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
+
+
 def cmd_check(args, parser):
     vals = _resolve(args, parser, _CHECK_DEFAULTS)
     params = _params(vals, parser)
-    sample = SampleConfig(count=int(vals["samples"]),
-                          box=DomainBox(seed=_seed(vals, parser)))
     try:
+        sample = SampleConfig(count=int(vals["samples"]),
+                              box=DomainBox(seed=_seed(vals, parser)))
         cert = certificate(params, sample, corrupt=vals["corrupt"])
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
     payload = cert.to_json()
     if vals["out"]:
-        with open(vals["out"], "w", encoding="utf-8") as fh:
+        with _open_out(vals["out"], parser) as fh:
             fh.write(payload + "\n")
         n_pass = sum(1 for c in cert.checks if c.passed)
         print(f"{params.family} n={params.n:g}: verdict {cert.verdict} "
@@ -133,15 +142,14 @@ _INTEGRATE_DEFAULTS = {
 }
 
 
-def _write_trajectory_csv(path, traj):
+def _write_trajectory_csv(fh, traj):
     names = list(traj.monitors)
     header = ["t", "r", "phi", "p_r", "p_phi"] + names
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj)):
-            row = [traj.times[i], *traj.states[i]]
-            row.extend(traj.monitors[name][i] for name in names)
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    fh.write(",".join(header) + "\n")
+    for i in range(len(traj)):
+        row = [traj.times[i], *traj.states[i]]
+        row.extend(traj.monitors[name][i] for name in names)
+        fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def cmd_integrate(args, parser):
@@ -149,14 +157,15 @@ def cmd_integrate(args, parser):
     params = _params(vals, parser)
     initial = PhasePoint(float(vals["r0"]), float(vals["phi0"]),
                          float(vals["pr0"]), float(vals["pphi0"]))
-    config = IntegratorConfig(t_end=float(vals["t_end"]),
-                              rtol=float(vals["rtol"]),
-                              atol=float(vals["atol"]))
     try:
+        config = IntegratorConfig(t_end=float(vals["t_end"]),
+                                  rtol=float(vals["rtol"]),
+                                  atol=float(vals["atol"]))
         traj = integrate(params, initial, config)
-    except PdmError as exc:
+    except (PdmError, ValueError) as exc:
         parser.error(str(exc))
-    _write_trajectory_csv(vals["out"], traj)
+    with _open_out(vals["out"], parser) as fh:
+        _write_trajectory_csv(fh, traj)
     summary = (f"{params.family} n={params.n:g}: {traj.termination} "
                f"at t={traj.times[-1]:.6g}, {traj.n_accepted} steps "
                f"({traj.n_rejected} rejected) -> {vals['out']}")
@@ -188,8 +197,8 @@ def cmd_xcheck(args, parser):
                      parser)
     seed = _seed(vals, parser)
     # the family-side pole margins coincide with the cartesian walls at
-    # n = 0 (u = -phi); tag d additionally needs the upper half plane
-    if which == "d":
+    # n = 0 (u = -phi); the d twin additionally needs the upper half plane
+    if CATALOG[params.family].reduction.upper_half:
         box = DomainBox(phi_min=XCHECK_MARGIN, phi_max=math.pi - XCHECK_MARGIN,
                         phi_margin=XCHECK_MARGIN, seed=seed)
     else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .brackets import gradient
 from .dual import seed, tangent
 from .errors import EmptyTrajectory
 from .families import hamiltonian
@@ -93,8 +92,7 @@ class Trajectory:
 
 def hamilton_vector_field(params, point):
     """(dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) = symplectic gradient of H."""
-    g = gradient(hamiltonian, params, point)
-    return (g.dF_dpr, g.dF_dpphi, -g.dF_dr, -g.dF_dphi)
+    return _field(params, point.as_tuple())
 
 
 def _field(params, y):
@@ -202,6 +200,11 @@ def integrate(params, initial, config=None):
             factor = (5.0 if err == 0.0
                       else min(5.0, max(0.2, 0.9 * (0.25 * h / err) ** 0.2)))
             h *= factor
+            # accepted steps can shrink without bound too (an orbit grazing
+            # a pole); the last step, shortened to land on t_end, is exempt
+            if h < config.h_min and t < config.t_end - 1e-12:
+                termination = STEP_FAILURE
+                break
         else:
             n_rejected += 1
             h_next = h * max(0.2, 0.9 * (0.25 * h / err) ** 0.2)

@@ -51,7 +51,3 @@ class EmptyTrajectory(PdmError):
 
 class StepTooSmall(PdmError):
     pass
-
-
-class StepFailure(PdmError):
-    pass

@@ -1,161 +1,30 @@
-"""The Hamiltonian catalog: kinetic term, the nine family potentials, and
-the flat-plane potentials they reduce to at n = 0.
+"""Hamiltonians of the family table and the flat-plane potentials the
+families reduce to at n = 0.
 
-Every function here evaluates over generic scalars (floats or duals), so
-the bracket engine can differentiate them without per-family derivative
-code.  Angular arguments are always u = k_n*phi with k_n = n - 1.
+`potential` and `hamiltonian` evaluate over generic scalars (floats or
+duals), so the bracket engine can differentiate them without per-family
+derivative code.
 """
 
 import math
-from dataclasses import dataclass
 
-from .dual import cos, sin
+from .catalog import CATALOG
 from .errors import CartesianSingularity, NonZeroN, UnknownFamily
-from .phase import FAMILIES, polar_to_cartesian
-
-
-def kinetic(n, r, p_r, p_phi):
-    """T_n = (1/2) r^{2n} (p_r^2 + p_phi^2 / r^2)."""
-    return 0.5 * r ** (2.0 * n) * (p_r * p_r + (p_phi * p_phi) / (r * r))
-
-
-def _u_geodesic(params, r, phi):
-    return 0.0
-
-
-def _u_na_central(params, r, phi):
-    k = params.k_n
-    return params.k0 * r ** (-2.0 * k)
-
-
-def _u_na(params, r, phi):
-    k = params.k_n
-    u = k * phi
-    c, s = cos(u), sin(u)
-    return (params.k0 * r ** (-2.0 * k)
-            + r ** (2.0 * k) * (params.k1 / (c * c) + params.k2 / (s * s)))
-
-
-def _u_na_prime(params, r, phi):
-    k = params.k_n
-    u = k * phi
-    return (params.k0 * r ** (-2.0 * k)
-            + (params.k1 * cos(u) + params.k2 * sin(u)) * r ** (-k))
-
-
-def _u_nb(params, r, phi):
-    k = params.k_n
-    u = k * phi
-    c, s = cos(u), sin(u)
-    return (params.k0 * r ** (-2.0 * k) * (c * c + 4.0 * s * s)
-            + params.k1 * r ** (2.0 * k) / (c * c)
-            + params.k2 * r ** (-k) * s)
-
-
-def _u_nc(params, r, phi):
-    return params.k0 * r ** params.k_n
-
-
-def _u_nc1(params, r, phi):
-    k = params.k_n
-    u = k * phi
-    s = sin(u)
-    return (params.k0 * r ** k
-            + r ** (2.0 * k) * (params.k1 + params.k2 * cos(u)) / (s * s))
-
-
-def _u_nc2(params, r, phi):
-    k = params.k_n
-    u = k * phi
-    c = cos(u)
-    return (params.k0 * r ** k
-            + r ** (2.0 * k) * (params.k1 + params.k2 * sin(u)) / (c * c))
-
-
-def _u_nd(params, r, phi):
-    k = params.k_n
-    half_u = 0.5 * k * phi
-    return (params.k0 * r ** k
-            + r ** (0.5 * k) * (params.k1 * cos(half_u) + params.k2 * sin(half_u)))
-
-
-_POTENTIALS = {
-    "geodesic": _u_geodesic,
-    "na_central": _u_na_central,
-    "na": _u_na,
-    "na_prime": _u_na_prime,
-    "nb": _u_nb,
-    "nc": _u_nc,
-    "nc1": _u_nc1,
-    "nc2": _u_nc2,
-    "nd": _u_nd,
-}
+from .formulas import kinetic
+from .phase import polar_to_cartesian
 
 
 def potential(params, r, phi):
     try:
-        fn = _POTENTIALS[params.family]
+        fam = CATALOG[params.family]
     except KeyError:
         raise UnknownFamily(params.family) from None
-    return fn(params, r, phi)
+    return fam.potential(params, r, phi)
 
 
 def hamiltonian(params, r, phi, p_r, p_phi):
     """H = T_n + U_family; the Observable-shaped entry point for brackets."""
     return kinetic(params.n, r, p_r, p_phi) + potential(params, r, phi)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Catalog entry: what the family is and which integrals it certifies."""
-
-    name: str
-    group: str
-    formula: str
-    integrals: tuple
-    euclid_tag: str = ""
-
-
-CATALOG = {
-    "geodesic": FamilySpec(
-        "geodesic", "kinetic only",
-        "U = 0", ("P1", "P2", "Pphi")),
-    "na_central": FamilySpec(
-        "na_central", "oscillator type",
-        "U = k0/r^{2k}", ("J1", "J11", "J22", "J12")),
-    "na": FamilySpec(
-        "na", "oscillator type",
-        "U = k0/r^{2k} + r^{2k} (k1 sec^2(u) + k2 csc^2(u))",
-        ("Ja1", "Ja2", "Ja3"), euclid_tag="a"),
-    "na_prime": FamilySpec(
-        "na_prime", "complex factorization",
-        "U = k0/r^{2k} + (k1 cos(u) + k2 sin(u))/r^k",
-        ("Ja1p", "Ja2p", "Ja3p", "J2", "J3")),
-    "nb": FamilySpec(
-        "nb", "oscillator type",
-        "U = (k0/r^{2k})(cos^2(u) + 4 sin^2(u)) + k1 r^{2k} sec^2(u)"
-        " + (k2/r^k) sin(u)",
-        ("Jb1", "Jb2", "Jb3"), euclid_tag="b"),
-    "nc": FamilySpec(
-        "nc", "Kepler type",
-        "U = k0 r^k", ("J1", "J2", "J3")),
-    "nc1": FamilySpec(
-        "nc1", "Kepler type",
-        "U = k0 r^k + r^{2k} (k1 + k2 cos(u))/sin^2(u)",
-        ("Jc2", "Jc3"), euclid_tag="c"),
-    "nc2": FamilySpec(
-        "nc2", "Kepler type",
-        "U = k0 r^k + r^{2k} (k1 + k2 sin(u))/cos^2(u)",
-        ("Jc2", "Jc3")),
-    "nd": FamilySpec(
-        "nd", "complex factorization",
-        "U = k0 r^k + r^{k/2} (k1 cos(u/2) + k2 sin(u/2))",
-        ("Jd2", "Jd3"), euclid_tag="d"),
-}
-
-assert tuple(CATALOG) == FAMILIES
-
-EUCLIDEAN_TAGS = ("a", "b", "c", "d")
 
 
 def euclidean_potential(tag, couplings, x, y):
@@ -187,24 +56,12 @@ def euclidean_potential(tag, couplings, x, y):
     raise ValueError(f"unknown Euclidean tag {tag!r}")
 
 
-# n = 0 reductions: family -> (tag, coupling map).  The b-map flips the sign
-# of k2 and the d-map rescales by sqrt(2); both are forced by u = -phi at
-# n = 0 and the half-angle radicals (d valid on the upper half plane y > 0).
-_EUCLID_MAPS = {
-    "na": ("a", lambda p: (2.0 * p.k0, p.k1, p.k2)),
-    "nb": ("b", lambda p: (2.0 * p.k0, p.k1, -p.k2)),
-    "nc1": ("c", lambda p: (p.k0, p.k1, p.k2)),
-    "nd": ("d", lambda p: (p.k0, p.k1 / math.sqrt(2.0), -p.k2 / math.sqrt(2.0))),
-}
-
-
 def euclid_equivalence_map(family):
     """(tag, mapped couplings factory) for families with an n = 0 twin."""
-    try:
-        return _EUCLID_MAPS[family]
-    except KeyError:
-        raise UnknownFamily(
-            f"{family} has no flat-plane reduction map") from None
+    reduction = CATALOG[family].reduction if family in CATALOG else None
+    if reduction is None:
+        raise UnknownFamily(f"{family} has no flat-plane reduction map")
+    return reduction.tag, reduction.couplings
 
 
 def euclid_equivalence_residual(params, point):

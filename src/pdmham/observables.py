@@ -1,281 +1,54 @@
-"""First integrals bound to each family, plus the complex factor functions
-whose evolution laws and modulus identities the certifier verifies.
+"""Lookup of the integrals bound to each family, plus the complex factor
+functions whose evolution laws and modulus identities the certifier
+verifies.
 
-All integral bodies evaluate over generic scalars.  Names are unique per
-family, not globally: nc and na_prime both bind a J2/J3 pair, nc1 and nc2
-both bind Jc2/Jc3, so lookups take (family, name).
-
-The d-family pair needs care.  The coordinate forms most naturally paired
-with the family fail their conservation test outright (bracket residual of
-order one; see docs/FORMULA_ERRATA.md).  The certified forms below swap the
-two momentum monomials and are exactly the real and imaginary parts of the
-product A*N, which the factorization laws force to be conserved.  The
-uncorrected variants stay available as variant_jd2 / variant_jd3 so the
-regression suite can keep demonstrating the failure.
+Names are unique per family, not globally: nc and na_prime both bind a
+J2/J3 pair, nc1 and nc2 both bind Jc2/Jc3, so lookups take (family, name).
+The formulas themselves live in `formulas`, their binding in `catalog`.
 """
 
-from dataclasses import dataclass
-
+from .catalog import Integral, lookup
 from .dual import cos, sin
-from .errors import UnknownFamily, UnknownIntegral
-from .families import hamiltonian, kinetic
-from .geometry import noether_p1, noether_p2
-from .phase import FAMILIES
+from .errors import UnknownIntegral
+from .families import hamiltonian
+from .formulas import (a1_component, a2_component, a_components, kinetic,
+                       lambda_factor, m1, m2, m_components, n_double, n_single,
+                       variant_jd2, variant_jd3)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A named scalar phase-space function evaluable over generic scalars.
+def _t(params, r, phi, p_r, p_phi):
+    return kinetic(params.n, r, p_r, p_phi)
 
-    degree is the momentum degree of the function's momentum part;
-    has_kpart marks integrals whose couplings-zeroed reduction is a
-    nonvanishing homogeneous momentum polynomial (the Killing-tensor part).
-    """
 
-    name: str
-    family: str
-    fn: object
-    degree: int
-    has_kpart: bool
+# available for every family next to its bound integrals
+_EVERY_FAMILY = {"H": Integral("H", hamiltonian), "T": Integral("T", _t)}
 
-    def __call__(self, params, r, phi, p_r, p_phi):
-        return self.fn(params, r, phi, p_r, p_phi)
 
+def family_integrals(family):
+    """Names of the integrals bound to a family, H excluded."""
+    return lookup(family).integrals
 
-def _p1(params, r, phi, p_r, p_phi):
-    return noether_p1(params.n, r, phi, p_r, p_phi)
 
+def integral(family, name):
+    """Observable for one bound integral, or H (or T) for any family."""
+    bound = lookup(family).bound
+    if name in _EVERY_FAMILY:
+        return _EVERY_FAMILY[name]
+    for obs in bound:
+        if obs.name == name:
+            return obs
+    raise UnknownIntegral(f"{family} does not bind {name!r}")
 
-def _p2(params, r, phi, p_r, p_phi):
-    return noether_p2(params.n, r, phi, p_r, p_phi)
 
-
-def _pphi(params, r, phi, p_r, p_phi):
-    return p_phi
-
-
-# -- oscillator-type families --
-
-def _j11(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    c = cos(u)
-    return (_p1(params, r, phi, p_r, p_phi) ** 2.0
-            + 2.0 * params.k0 * c * c * r ** (-2.0 * params.k_n))
-
-
-def _j22(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    s = sin(u)
-    return (_p2(params, r, phi, p_r, p_phi) ** 2.0
-            + 2.0 * params.k0 * s * s * r ** (-2.0 * params.k_n))
-
-
-def _j12(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    return (_p1(params, r, phi, p_r, p_phi) * _p2(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k0 * cos(u) * sin(u) * r ** (-2.0 * params.k_n))
-
-
-def _ja1(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    c = cos(u)
-    return (_j11(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k1 * r ** (2.0 * params.k_n) / (c * c))
-
-
-def _ja2(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    s = sin(u)
-    return (_j22(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k2 * r ** (2.0 * params.k_n) / (s * s))
-
-
-def _ja3(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    c, s = cos(u), sin(u)
-    return p_phi * p_phi + 2.0 * (params.k1 / (c * c) + params.k2 / (s * s))
-
-
-def _ja1p(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    return (_j11(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k1 * cos(u) * r ** (-params.k_n))
-
-
-def _ja2p(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    return (_j22(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k2 * sin(u) * r ** (-params.k_n))
-
-
-def _ja3p(params, r, phi, p_r, p_phi):
-    return (2.0 * params.k0 * p_phi
-            + params.k2 * _p1(params, r, phi, p_r, p_phi)
-            - params.k1 * _p2(params, r, phi, p_r, p_phi))
-
-
-def _jb2(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    s = sin(u)
-    return (_p2(params, r, phi, p_r, p_phi) ** 2.0
-            + 8.0 * params.k0 * s * s * r ** (-2.0 * params.k_n)
-            + 2.0 * params.k2 * s * r ** (-params.k_n))
-
-
-def _jb3(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    c, s2 = cos(u), sin(2.0 * u)
-    return (_p1(params, r, phi, p_r, p_phi) * p_phi
-            - params.k0 * c * s2 * r ** (-3.0 * k)
-            + params.k1 * s2 / (c * c * c) * r ** k
-            - 0.5 * params.k2 * c * c * r ** (-2.0 * k))
-
-
-# -- complex-factorization family on the oscillator side --
-
-def _m1(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    return (r ** (2.0 * k) * (r * r * p_r * p_r - p_phi * p_phi)
-            + 2.0 * params.k0 * r ** (-2.0 * k)
-            + 2.0 * (params.k1 * cos(u) + params.k2 * sin(u)) * r ** (-k))
-
-
-def _m2(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    return (2.0 * r ** (2.0 * params.n - 1.0) * p_r * p_phi
-            + 2.0 * (params.k1 * sin(u) - params.k2 * cos(u)) * r ** (-k))
-
-
-def _j2_osc(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    return (_p1(params, r, phi, p_r, p_phi) ** 2.0
-            - _p2(params, r, phi, p_r, p_phi) ** 2.0
-            + 2.0 * params.k0 * cos(2.0 * u) * r ** (-2.0 * k)
-            + 2.0 * (params.k1 * cos(u) - params.k2 * sin(u)) * r ** (-k))
-
-
-def _j3_osc(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    return (2.0 * _p1(params, r, phi, p_r, p_phi)
-            * _p2(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k0 * sin(2.0 * u) * r ** (-2.0 * k)
-            + 2.0 * (params.k1 * sin(u) + params.k2 * cos(u)) * r ** (-k))
-
-
-# -- Kepler-type families --
-
-def _j2_kep(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    return _p2(params, r, phi, p_r, p_phi) * p_phi - params.k0 * cos(u)
-
-
-def _j3_kep(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    return _p1(params, r, phi, p_r, p_phi) * p_phi + params.k0 * sin(u)
-
-
-def _jc2_1(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    s = sin(u)
-    return p_phi * p_phi + 2.0 * (params.k1 + params.k2 * cos(u)) / (s * s)
-
-
-def _jc3_1(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    c, s = cos(u), sin(u)
-    return (_j2_kep(params, r, phi, p_r, p_phi)
-            - 2.0 * params.k1 * r ** k * c / (s * s)
-            - params.k2 * r ** k * (1.0 + c * c) / (s * s))
-
-
-def _jc2_2(params, r, phi, p_r, p_phi):
-    u = params.k_n * phi
-    c = cos(u)
-    return p_phi * p_phi + 2.0 * (params.k1 + params.k2 * sin(u)) / (c * c)
-
-
-def _jc3_2(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    c, s = cos(u), sin(u)
-    return (_j3_kep(params, r, phi, p_r, p_phi)
-            + 2.0 * params.k1 * r ** k * s / (c * c)
-            + params.k2 * r ** k * (1.0 + s * s) / (c * c))
-
-
-# -- d family: certified forms (momentum monomials swapped relative to the
-#    uncorrected variants below; equal to -Re(A N) and +Im(A N) exactly) --
-
-def _jd2(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    s, half = sin(u), 0.5 * u
-    return (_p2(params, r, phi, p_r, p_phi) * p_phi
-            - params.k0 * cos(u)
-            + params.k1 * s * sin(half) * r ** (-0.5 * k)
-            - params.k2 * s * cos(half) * r ** (-0.5 * k))
-
-
-def _jd3(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    u = k * phi
-    c, half = cos(u), 0.5 * u
-    return (_p1(params, r, phi, p_r, p_phi) * p_phi
-            + params.k0 * sin(u)
-            + params.k1 * c * sin(half) * r ** (-0.5 * k)
-            - params.k2 * c * cos(half) * r ** (-0.5 * k))
-
-
-def variant_jd2(params, r, phi, p_r, p_phi):
-    """Uncorrected d-family form: P1*p_phi momentum part.  Not conserved."""
-    k = params.k_n
-    u = k * phi
-    s, half = sin(u), 0.5 * u
-    return (_p1(params, r, phi, p_r, p_phi) * p_phi
-            - params.k0 * cos(u)
-            + params.k1 * s * sin(half) * r ** (-0.5 * k)
-            - params.k2 * s * cos(half) * r ** (-0.5 * k))
-
-
-def variant_jd3(params, r, phi, p_r, p_phi):
-    """Uncorrected d-family companion with P2*p_phi.  Not conserved."""
-    k = params.k_n
-    u = k * phi
-    c, half = cos(u), 0.5 * u
-    return (_p2(params, r, phi, p_r, p_phi) * p_phi
-            + params.k0 * sin(u)
-            + params.k1 * c * sin(half) * r ** (-0.5 * k)
-            - params.k2 * c * cos(half) * r ** (-0.5 * k))
-
-
-# -- complex factor functions --
-
-def a1_component(params, r, phi, p_r, p_phi):
-    return r ** params.k_n * p_phi * p_phi + params.k0
-
-
-def a2_component(params, r, phi, p_r, p_phi):
-    k = params.k_n
-    half_u = 0.5 * k * phi
-    # momentum-weight exponent (3n-1)/2; combined with the prefactor the
-    # momentum term carries r^n overall
-    weight = 0.5 * (3.0 * params.n - 1.0)
-    return r ** (-0.5 * k) * (r ** weight * p_r * p_phi
-                              + params.k1 * sin(half_u)
-                              - params.k2 * cos(half_u))
+def family_observables(family):
+    return lookup(family).bound
 
 
 def complex_m(params, point):
     """M = M1 + i M2, the doubled-angle factor of the na_prime family."""
     r, phi, p_r, p_phi = point.as_tuple()
-    return complex(_m1(params, r, phi, p_r, p_phi),
-                   _m2(params, r, phi, p_r, p_phi))
+    return complex(m1(params, r, phi, p_r, p_phi),
+                   m2(params, r, phi, p_r, p_phi))
 
 
 def complex_a(params, point):
@@ -296,101 +69,9 @@ def complex_n(kind, n, phi):
     return complex(cos(u), sin(u))
 
 
-def lambda_factor(section, n, point):
-    """The angular-rate factor in the evolution laws.
-
-    Two conventions coexist: "s61" carries the (n-1) factor inside
-    (lambda = (n-1) r^{2k_n} p_phi), "s62" leaves it outside
-    (lambda = r^{2(n-1)} p_phi); the two agree up to that factor.
-    """
-    if section == "s61":
-        return (n - 1.0) * point.r ** (2.0 * (n - 1.0)) * point.p_phi
-    if section == "s62":
-        return point.r ** (2.0 * (n - 1.0)) * point.p_phi
-    raise ValueError(f"unknown lambda convention {section!r}")
-
-
-def _h(params, r, phi, p_r, p_phi):
-    return hamiltonian(params, r, phi, p_r, p_phi)
-
-
-def _t(params, r, phi, p_r, p_phi):
-    return kinetic(params.n, r, p_r, p_phi)
-
-
-# (family, name) -> (fn, degree, has_kpart)
-_REGISTRY = {
-    ("geodesic", "P1"): (_p1, 1, True),
-    ("geodesic", "P2"): (_p2, 1, True),
-    ("geodesic", "Pphi"): (_pphi, 1, True),
-    ("na_central", "J1"): (_pphi, 1, True),
-    ("na_central", "J11"): (_j11, 2, True),
-    ("na_central", "J22"): (_j22, 2, True),
-    ("na_central", "J12"): (_j12, 2, True),
-    ("na", "Ja1"): (_ja1, 2, True),
-    ("na", "Ja2"): (_ja2, 2, True),
-    ("na", "Ja3"): (_ja3, 2, True),
-    ("na_prime", "Ja1p"): (_ja1p, 2, True),
-    ("na_prime", "Ja2p"): (_ja2p, 2, True),
-    ("na_prime", "Ja3p"): (_ja3p, 1, False),
-    ("na_prime", "J2"): (_j2_osc, 2, True),
-    ("na_prime", "J3"): (_j3_osc, 2, True),
-    ("nb", "Jb1"): (_ja1, 2, True),
-    ("nb", "Jb2"): (_jb2, 2, True),
-    ("nb", "Jb3"): (_jb3, 2, True),
-    ("nc", "J1"): (_pphi, 1, True),
-    ("nc", "J2"): (_j2_kep, 2, True),
-    ("nc", "J3"): (_j3_kep, 2, True),
-    ("nc1", "Jc2"): (_jc2_1, 2, True),
-    ("nc1", "Jc3"): (_jc3_1, 2, True),
-    ("nc2", "Jc2"): (_jc2_2, 2, True),
-    ("nc2", "Jc3"): (_jc3_2, 2, True),
-    ("nd", "Jd2"): (_jd2, 2, True),
-    ("nd", "Jd3"): (_jd3, 2, True),
-}
-
-
-def family_integrals(family):
-    """Names of the integrals bound to a family, H excluded."""
-    if family not in FAMILIES:
-        raise UnknownFamily(family)
-    return tuple(name for (fam, name) in _REGISTRY if fam == family)
-
-
-def integral(family, name):
-    """Observable for one bound integral, or H for any family."""
-    if family not in FAMILIES:
-        raise UnknownFamily(family)
-    if name == "H":
-        return Observable("H", family, _h, 2, True)
-    if name == "T":
-        return Observable("T", family, _t, 2, True)
-    try:
-        fn, degree, has_kpart = _REGISTRY[(family, name)]
-    except KeyError:
-        raise UnknownIntegral(f"{family} does not bind {name!r}") from None
-    return Observable(name, family, fn, degree, has_kpart)
-
-
-def family_observables(family):
-    return tuple(integral(family, name) for name in family_integrals(family))
-
-
-# generic-scalar component functions used by the evolution-law checks
-m_components = (_m1, _m2)
-a_components = (a1_component, a2_component)
-
-
 def n_components(kind):
     """Real/imaginary parts of N as Observable-shaped functions."""
-    mult = 2.0 if kind == "double" else 1.0
-    if kind not in ("double", "single"):
+    parts = {"double": n_double, "single": n_single}
+    if kind not in parts:
         raise ValueError(f"unknown N kind {kind!r}")
-
-    def re(params, r, phi, p_r, p_phi):
-        return cos(mult * params.k_n * phi)
-
-    def im(params, r, phi, p_r, p_phi):
-        return sin(mult * params.k_n * phi)
-
-    return (re, im)
+    return parts[kind]

@@ -5,26 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import CATALOG
 from .errors import (AngularSingularity, DegenerateN, EmptyDomain, NonFinite,
                      RadiusNonPositive, UnknownFamily)
 
-FAMILIES = ("geodesic", "na_central", "na", "na_prime",
-            "nb", "nc", "nc1", "nc2", "nd")
-
-# Angular terms with poles, per family, expressed as the trig kind whose
-# zero in u = k_n*phi makes the potential blow up: "cos" poles sit at
-# u = pi/2 + m*pi (sec-type terms), "sin" poles at u = m*pi (csc-type).
-_SINGULAR_TRIG = {
-    "geodesic": (),
-    "na_central": (),
-    "na": ("cos", "sin"),
-    "na_prime": (),
-    "nb": ("cos",),
-    "nc": (),
-    "nc1": ("sin",),
-    "nc2": ("cos",),
-    "nd": (),
-}
+FAMILIES = tuple(CATALOG)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -55,8 +40,8 @@ class ModelParams:
     """A family tag with exponent n and couplings (k0, k1, k2).
 
     k_n = n - 1 is always derived from n, never stored.  n = 1 collapses
-    every angular argument and is rejected for all families except the
-    bare geodesic one.
+    every angular argument and is rejected for every family whose record
+    sets `degenerate_at_n1`: all except the bare geodesic one.
     """
 
     family: str
@@ -66,12 +51,12 @@ class ModelParams:
     k2: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in CATALOG:
             raise UnknownFamily(self.family)
         for name in ("n", "k0", "k1", "k2"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFinite(name)
-        if self.family != "geodesic" and self.n == 1.0:
+        if CATALOG[self.family].degenerate_at_n1 and self.n == 1.0:
             raise DegenerateN("n = 1 degenerate (k_n = 0)")
 
     @property
@@ -119,7 +104,7 @@ def singular_distance(family, n, phi):
 
     Returns +inf for families whose potential has no angular poles.
     """
-    kinds = _SINGULAR_TRIG[family]
+    kinds = CATALOG[family].poles
     if not kinds:
         return math.inf
     u = (n - 1.0) * phi

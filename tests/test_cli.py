@@ -1,9 +1,13 @@
 """Exit-code contract, artifact schemas, config merging."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pdmham
 from pdmham.cli import main
 
 ND_FLAGS = ["--family", "nd", "--n", "3", "--k0", "1", "--k1", "0.5",
@@ -181,3 +185,24 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "nc", "--n", "2", "--k0", "-1", "--samples", "0"],
+    ["integrate", "--family", "geodesic", "--n", "0", "--r0", "1",
+     "--phi0", "0", "--pr0", "1", "--pphi0", "0", "--t-end", "-1"],
+    ["check", "--family", "nc", "--n", "2", "--k0", "-1", "--samples", "20",
+     "--out", "{missing}/cert.json"],
+    ["integrate", "--family", "geodesic", "--n", "0", "--r0", "1",
+     "--phi0", "0", "--pr0", "1", "--pphi0", "0", "--t-end", "1",
+     "--out", "{missing}/traj.csv"],
+])
+def test_input_errors_exit_2_without_traceback(argv, tmp_path):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    src = os.path.dirname(os.path.dirname(pdmham.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "pdmham.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -129,6 +129,18 @@ def test_guard_termination_outward_escape():
     assert traj.final().r > 100.0
 
 
+def test_collapsing_accepted_steps_end_as_step_failure():
+    # from the first seed-0 sample point the na orbit nears the pole at
+    # u = pi and its accepted steps shrink toward zero; the run must stop
+    # at h_min instead of stepping forever
+    params = ModelParams("na", 3.0, 1.0, 0.5, -0.3)
+    start = sample_points(params, DomainBox(seed=0), 1)[0]
+    traj = integrate(params, start, IntegratorConfig(t_end=0.009))
+    assert traj.termination == STEP_FAILURE
+    assert traj.times[-1] == pytest.approx(0.00862, abs=1e-5)
+    assert traj.n_accepted == len(traj) - 1
+
+
 def test_invalid_initial_state_raises():
     params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
     with pytest.raises(AngularSingularity):

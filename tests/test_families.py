@@ -62,6 +62,26 @@ def test_hamiltonian_splits(family):
             want, rel=1e-14)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_declared_poles_match_potential(family):
+    # at n = 2, k_n = 1 and u = phi: "cos" poles sit at pi/2 + m*pi and
+    # "sin" poles at m*pi; two poles per kind in one 2*pi period
+    params = ModelParams(family, 2.0, 1.0, 1.0, 0.5)
+    poles = CATALOG[family].poles
+    for kind in poles:
+        offset = 0.0 if kind == "sin" else 0.5 * math.pi
+        for m in (0, 1):
+            for side in (-1e-4, 1e-4):
+                phi = offset + m * math.pi + side
+                assert abs(potential(params, 1.3, phi)) > 1e6, (kind, phi)
+    if not poles:
+        # the grid lands on every multiple of pi/2, where a sec- or
+        # csc-type term would blow up
+        for j in range(4001):
+            value = potential(params, 1.3, j * 0.5 * math.pi / 1000.0)
+            assert math.isfinite(value) and abs(value) <= 1e6
+
+
 def test_catalog_matches_observable_registry():
     assert tuple(CATALOG) == FAMILIES
     for name, spec in CATALOG.items():
