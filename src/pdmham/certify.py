@@ -75,9 +75,13 @@ class CheckResult:
             object.__setattr__(self, "passed", bool(self.passed))
 
     def as_dict(self):
+        # strict JSON has no NaN or Infinity: a non-finite residual is null
+        residual = self.max_residual
+        if residual is not None and not math.isfinite(residual):
+            residual = None
         d = {
             "name": self.name,
-            "max_residual": self.max_residual,
+            "max_residual": residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -109,7 +113,8 @@ class Certificate:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
 
 def _points(params, sample):

@@ -146,10 +146,10 @@ def _write_trajectory_csv(fh, traj):
     names = list(traj.monitors)
     header = ["t", "r", "phi", "p_r", "p_phi"] + names
     fh.write(",".join(header) + "\n")
-    for i in range(len(traj)):
-        row = [traj.times[i], *traj.states[i]]
-        row.extend(traj.monitors[name][i] for name in names)
-        fh.write(",".join("%.17g" % v for v in row) + "\n")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    columns = [traj.times.tolist(), *traj.states.T.tolist(),
+               *(traj.monitors[name].tolist() for name in names)]
+    fh.writelines(row % values for values in zip(*columns))
 
 
 def cmd_integrate(args, parser):
@@ -176,7 +176,7 @@ def cmd_integrate(args, parser):
                     f" (heuristic scale {heuristic:.1e})")
     except EmptyTrajectory:
         summary += "; no drift stats (single recorded state)"
-    print(summary)
+    print(f"{summary}; {traj.n_field_evals} field evaluations")
     return EXIT_PASS if traj.termination == COMPLETED else EXIT_ABORT
 
 

@@ -5,9 +5,8 @@ pass per gradient.  Tangent entries use the same arithmetic as the value, so
 a Dual whose value is itself a Dual carries exact second derivatives; the
 curvature check relies on that.
 
-Tangent arithmetic is unrolled over the four fixed slots: the integrator
-spends most of its time in these operators, and the unrolled forms are
-about twice as fast as tuple comprehensions.
+Tangent arithmetic is unrolled over the four fixed slots; the unrolled
+forms are about twice as fast as tuple comprehensions.
 """
 
 import math
@@ -119,12 +118,21 @@ def seed(r, phi, p_r, p_phi):
             Dual(p_r, _UNITS[2]), Dual(p_phi, _UNITS[3]))
 
 
+# sin, cos and sqrt hand a scalar that math rejects but that implements the
+# function itself (the recording scalar of `tracing`) to its own method
+
+
 def sin(x):
     if isinstance(x, Dual):
         c = cos(x.val)
         t = x.tan
         return Dual(sin(x.val), (c * t[0], c * t[1], c * t[2], c * t[3]))
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except TypeError:
+        if not hasattr(x, "sin"):
+            raise
+    return x.sin()
 
 
 def cos(x):
@@ -132,7 +140,12 @@ def cos(x):
         s = sin(x.val)
         t = x.tan
         return Dual(cos(x.val), (-s * t[0], -s * t[1], -s * t[2], -s * t[3]))
-    return math.cos(x)
+    try:
+        return math.cos(x)
+    except TypeError:
+        if not hasattr(x, "cos"):
+            raise
+    return x.cos()
 
 
 def sqrt(x):
@@ -142,7 +155,12 @@ def sqrt(x):
         t = x.tan
         return Dual(root,
                     (half * t[0], half * t[1], half * t[2], half * t[3]))
-    return math.sqrt(x)
+    try:
+        return math.sqrt(x)
+    except TypeError:
+        if not hasattr(x, "sqrt"):
+            raise
+    return x.sqrt()
 
 
 def second_derivative(f, x0):

@@ -1,5 +1,6 @@
-"""Hamiltonian flow: the exact vector field from dual gradients and an
-embedded Runge-Kutta 5(4) integrator with conservation monitors.
+"""Hamiltonian flow: the exact vector field, traced once per parameter set
+from the dual gradient of H, and an embedded Runge-Kutta 5(4) integrator
+with conservation monitors.
 
 The 5th-order solution propagates (local extrapolation); the embedded
 4th-order solution only steers the step size.  Step control is error per
@@ -11,14 +12,13 @@ accepted steps.
 
 import math
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
-from .dual import seed, tangent
 from .errors import EmptyTrajectory
-from .families import hamiltonian
-from .observables import family_integrals, integral
 from .phase import PhasePoint, check_point, singular_distance
+from .tracing import monitors, vector_field
 
 COMPLETED = "Completed"
 SINGULARITY = "SingularityApproach"
@@ -79,6 +79,7 @@ class Trajectory:
     termination: str
     n_accepted: int
     n_rejected: int
+    n_field_evals: int = 0
 
     def __len__(self):
         return len(self.times)
@@ -92,41 +93,33 @@ class Trajectory:
 
 def hamilton_vector_field(params, point):
     """(dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) = symplectic gradient of H."""
-    return _field(params, point.as_tuple())
+    return vector_field(params)(point.as_tuple())
 
 
-def _field(params, y):
-    r, phi, p_r, p_phi = seed(*y)
-    t = tangent(hamiltonian(params, r, phi, p_r, p_phi))
-    return (t[2], t[3], -t[0], -t[1])
-
-
-def _try_field(params, y):
-    # power/overflow failures past a singularity count as an invalid stage
+def _try_field(field, y):
+    # power/overflow failures past a singularity count as an invalid stage,
+    # and so does a stage that drives r below 0: a non-integer power of it
+    # is complex, which math rejects with TypeError
     try:
-        k = _field(params, y)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return None
-    if all(math.isfinite(c) for c in k):
-        return k
+        k = field(y)
+        if (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
+                and isfinite(k[3])):
+            return k
+    except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+        pass
     return None
 
 
 def _combine(y, h, coeffs, ks):
-    out = list(y)
+    y0, y1, y2, y3 = y
     for c, k in zip(coeffs, ks):
         if c != 0.0:
             hc = h * c
-            for i in range(4):
-                out[i] += hc * k[i]
-    return tuple(out)
-
-
-def _monitor_fns(params):
-    fns = [("H", integral(params.family, "H"))]
-    fns.extend((name, integral(params.family, name))
-               for name in family_integrals(params.family))
-    return fns
+            y0 += hc * k[0]
+            y1 += hc * k[1]
+            y2 += hc * k[2]
+            y3 += hc * k[3]
+    return (y0, y1, y2, y3)
 
 
 def integrate(params, initial, config=None):
@@ -138,14 +131,17 @@ def integrate(params, initial, config=None):
     """
     config = config or IntegratorConfig()
     check_point(initial, params, config.phi_margin)
-    monitors = _monitor_fns(params)
+    field = vector_field(params)
+    names, monitor_row = monitors(params)
 
     y = initial.as_tuple()
     t = 0.0
     times = [t]
     states = [y]
-    mon_values = {name: [fn(params, *y)] for name, fn in monitors}
-    k1 = _try_field(params, y)
+    # one flat list of monitor rows keeps per-step storage to the floats
+    mon_values = list(monitor_row(*y))
+    k1 = _try_field(field, y)
+    n_evals = 1
     termination = COMPLETED
     n_accepted = 0
     n_rejected = 0
@@ -158,7 +154,8 @@ def integrate(params, initial, config=None):
         ks = [k1]
         for stage in range(1, 7):
             y_stage = _combine(y, h, _A[stage], ks)
-            k = _try_field(params, y_stage)
+            k = _try_field(field, y_stage)
+            n_evals += 1
             if k is None:
                 break
             ks.append(k)
@@ -192,8 +189,7 @@ def integrate(params, initial, config=None):
             n_accepted += 1
             times.append(t)
             states.append(y)
-            for name, fn in monitors:
-                mon_values[name].append(fn(params, *y))
+            mon_values.extend(monitor_row(*y))
             # steer toward err = h/4: the loose accept gate (err <= h) with a
             # tighter target keeps rejections rare while holding the realized
             # error per unit time a factor of several under rtol
@@ -213,14 +209,16 @@ def integrate(params, initial, config=None):
                 break
             h = h_next
 
+    table = np.asarray(mon_values).reshape(len(times), len(names))
     return Trajectory(
         params=params,
         times=np.asarray(times),
         states=np.asarray(states),
-        monitors={name: np.asarray(vals) for name, vals in mon_values.items()},
+        monitors={name: table[:, j].copy() for j, name in enumerate(names)},
         termination=termination,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
+        n_field_evals=n_evals,
     )
 
 

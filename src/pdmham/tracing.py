@@ -1,0 +1,161 @@
+"""Source-transformation differentiation: each family's vector field and
+monitor row, traced once per parameter set into straight-line float code.
+
+A recording scalar `Sym` runs through the same `formulas`/`catalog` code
+that floats and duals run through and appends one line of Python per float
+operation.  Seeded inside `Dual`s it records the forward-mode gradient, so
+no derivative is written by hand (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008).  The emitted code performs the same
+float operations in the same order as the dual and float paths, with three
+exceptions.  Operations with a constant 0.0 or 1.0 (x*0, x+0, 0-x, x*1)
+are folded, which can flip the sign of a zero.  Lines no output needs are
+dropped, so a term multiplied by a constant zero can no longer turn the
+result into a NaN or a complex number, or raise.  Repeated subexpressions
+are computed once.
+
+`Sym` has no truth value and no comparisons, so a formula that branches on
+a traced value fails while tracing instead of compiling one branch.
+"""
+
+import functools
+import math
+
+from .dual import seed, tangent
+from .families import hamiltonian
+from .observables import family_integrals, integral
+
+_COORDS = ("r", "phi", "p_r", "p_phi")
+_GLOBALS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+            "inf": math.inf, "nan": math.nan}
+
+
+def _atom(x):
+    if isinstance(x, Sym):
+        return x.name
+    # repr is exact for floats; float() also turns numpy scalars into
+    # literals, and inf and nan resolve in _GLOBALS
+    text = repr(float(x))
+    return f"({text})" if text.startswith("-") else text
+
+
+def _zero(x):
+    return not isinstance(x, Sym) and x == 0.0
+
+
+def _one(x):
+    return not isinstance(x, Sym) and x == 1.0
+
+
+class Sym:
+    """A traced scalar: the name of the local that will hold its value."""
+
+    __slots__ = ("name", "tape", "operands")
+
+    def __init__(self, name, tape, operands=()):
+        self.name = name
+        self.tape = tape        # expression -> Sym, shared by one trace
+        self.operands = operands
+
+    def _emit(self, expr, *args):
+        known = self.tape.get(expr)
+        if known is None:
+            known = self.tape[expr] = Sym(
+                f"v{len(self.tape)}", self.tape,
+                tuple(a.name for a in args if isinstance(a, Sym)))
+        return known
+
+    def _bin(self, a, op, b):
+        return self._emit(f"{_atom(a)} {op} {_atom(b)}", a, b)
+
+    def __add__(self, other):
+        return self if _zero(other) else self._bin(self, "+", other)
+
+    def __radd__(self, other):
+        return self if _zero(other) else self._bin(other, "+", self)
+
+    def __sub__(self, other):
+        return self if _zero(other) else self._bin(self, "-", other)
+
+    def __rsub__(self, other):
+        return -self if _zero(other) else self._bin(other, "-", self)
+
+    def __mul__(self, other):
+        if _zero(other):
+            return 0.0
+        return self if _one(other) else self._bin(self, "*", other)
+
+    def __rmul__(self, other):
+        if _zero(other):
+            return 0.0
+        return self if _one(other) else self._bin(other, "*", self)
+
+    def __truediv__(self, other):
+        return self._bin(self, "/", other)
+
+    def __rtruediv__(self, other):
+        return self._bin(other, "/", self)
+
+    def __pow__(self, other):
+        return self._bin(self, "**", other)
+
+    def __neg__(self):
+        return self._emit(f"-{self.name}", self)
+
+    def sin(self):
+        return self._emit(f"sin({self.name})", self)
+
+    def cos(self):
+        return self._emit(f"cos({self.name})", self)
+
+    def sqrt(self):
+        return self._emit(f"sqrt({self.name})", self)
+
+    def __bool__(self, *_):
+        raise TypeError("a formula branched on a traced value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__
+    __hash__ = None
+
+
+def compile_traced(fn, unpack=False):
+    """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function.
+
+    The result takes the four coordinates as arguments, or as one sequence
+    when `unpack` is set, and returns the same tuple of floats.
+    """
+    tape = {}
+    outputs = fn(*(Sym(name, tape) for name in _COORDS))
+    live = {o.name for o in outputs if isinstance(o, Sym)}
+    body = []
+    for expr, sym in reversed(tape.items()):
+        if sym.name in live:
+            body.append(f"    {sym.name} = {expr}")
+            live.update(sym.operands)
+    coords = ", ".join(_COORDS)
+    head = ["def traced(y):", f"    {coords} = y"] if unpack else [
+        f"def traced({coords}):"]
+    ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
+    namespace = dict(_GLOBALS)
+    exec("\n".join(head + body[::-1] + [ret]), namespace)
+    return namespace["traced"]
+
+
+def _field(params, r, phi, p_r, p_phi):
+    t = tangent(hamiltonian(params, *seed(r, phi, p_r, p_phi)))
+    return (t[2], t[3], -t[0], -t[1])
+
+
+@functools.lru_cache(maxsize=128)
+def vector_field(params):
+    """Compiled (dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) of H, called as f(y)."""
+    return compile_traced(functools.partial(_field, params), unpack=True)
+
+
+@functools.lru_cache(maxsize=128)
+def monitors(params):
+    """(names, row) for H and every bound integral of the family; row(r,
+    phi, p_r, p_phi) returns their values in the order of names."""
+    names = ("H",) + family_integrals(params.family)
+    fns = [integral(params.family, name) for name in names]
+    return names, compile_traced(
+        lambda *y: tuple(fn(params, *y) for fn in fns))

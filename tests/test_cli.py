@@ -206,3 +206,31 @@ def test_input_errors_exit_2_without_traceback(argv, tmp_path):
                           timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_integrate_non_integer_n_exits_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(pdmham.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdmham.cli", "integrate", "--family", "nc",
+         "--n", "-0.5", "--k0", "-1", "--k1", "0.3", "--k2", "-0.2",
+         "--r0", "0.02", "--phi0", "0.5", "--pr0", "-3", "--pphi0", "0.1",
+         "--t-end", "1", "--out", str(tmp_path / "traj.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_residuals_are_strict_json(tmp_path):
+    out = tmp_path / "cert.json"
+    code = run(["check", "--family", "nc", "--n", "2", "--k0", "1e308",
+                "--samples", "20", "--out", str(out)])
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cert = json.loads(out.read_text(), parse_constant=reject)
+    residuals = {c["name"]: c["max_residual"] for c in cert["checks"]}
+    assert residuals["bracket:J2"] is None
+    assert residuals["negative_control"] is None

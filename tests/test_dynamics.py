@@ -65,6 +65,25 @@ def test_straight_line_geodesic():
     assert traj.n_accepted == len(traj) - 1
 
 
+def test_field_evaluation_count():
+    # h_init = 0.5 fails the error test first, so rejections are counted too
+    traj = integrate(ModelParams("nc", 2.0, -1.0),
+                     PhasePoint(1.0, 0.5, 0.1, 0.9),
+                     IntegratorConfig(t_end=5.0, h_init=0.5))
+    assert traj.termination == COMPLETED and traj.n_rejected > 0
+    assert traj.n_field_evals == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+
+
+def test_complex_stage_at_non_integer_n_is_rejected():
+    # trial stages drive r below 0, where r ** (n - 1) is complex
+    traj = integrate(ModelParams("nc", -0.5, -1.0, 0.3, -0.2),
+                     PhasePoint(0.02, 0.5, -3.0, 0.1),
+                     IntegratorConfig(t_end=1.0))
+    assert traj.n_rejected > 0
+    assert traj.states.dtype == np.float64
+    assert np.all(np.isfinite(traj.states))
+
+
 def test_monitor_layout():
     params = ModelParams("nd", 3.0, 1.0, 0.5, -0.3)
     traj = integrate(params, PhasePoint(1.0, 1.2, 0.3, 0.9),
