@@ -8,9 +8,10 @@ identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
 Every residual is deterministic given (params, sample seed, integrator
-config).  Serialization: top-level JSON fields `family`, `n`, `couplings`,
-`checks` (array of {name, max_residual, tolerance, pass}, plus `note`
-where a check was skipped or needs reading guidance), `verdict`.
+config).  Tolerances are module constants.  Serialization: top-level JSON
+fields `family`, `n`, `couplings`, `checks` (array of {name, max_residual,
+tolerance, pass}, plus `note` where a check was skipped or needs reading
+guidance), `verdict`.
 """
 
 import json
@@ -22,8 +23,9 @@ import numpy as np
 from .brackets import (BRACKET_TOL, bracket_scale, gradient, poisson_bracket,
                        scaled_residual)
 from .catalog import CATALOG, lookup
-from .dynamics import IntegratorConfig, drift_report, integrate
-from .errors import EmptyTrajectory, NoQuadraticIntegral, UnknownIntegral
+from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
+from .errors import (DegenerateN, EmptyTrajectory, NoQuadraticIntegral,
+                     UnknownIntegral)
 from .families import hamiltonian
 from .formulas import kinetic_noether
 from .observables import family_integrals, family_observables, integral
@@ -35,17 +37,18 @@ CLAIMED_TRIPLES = {name: fam.triple for name, fam in CATALOG.items()}
 RANK_REL_THRESHOLD = 1e-8
 CORRUPTION_FACTOR = 0.1
 
+IDENTITY_TOL = 1e-12
+EVOLUTION_TOL = 1e-10
+# least fraction of sampled points where the claimed triple has full rank
+INDEPENDENCE_FRACTION = 0.95
+# least residual every corrupted integral must show
+CONTROL_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class SampleConfig:
     count: int = 200
     box: DomainBox = DomainBox()
-    bracket_tol: float = BRACKET_TOL
-    identity_tol: float = 1e-12
-    evolution_tol: float = 1e-10
-    independence_fraction: float = 0.95
-    drift_tol: float = 1e-6
-    control_floor: float = 1e-3
 
     def __post_init__(self):
         if self.count < 1:
@@ -365,6 +368,8 @@ def certificate(params, sample=None, config=None, corrupt=None):
     `corrupt` names one integral to corrupt before the bracket suite, as a
     live demonstration that a broken claim fails the certificate.
     """
+    if params.n == 1.0:
+        raise DegenerateN("n = 1 degenerate (k_n = 0): P2 = -Pphi")
     sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
     points = _points(params, sample)
@@ -374,8 +379,8 @@ def certificate(params, sample=None, config=None, corrupt=None):
     for name, stats in suite.items():
         note = "+10% corruption applied" if name == corrupt else None
         checks.append(CheckResult(
-            f"bracket:{name}", stats.max_residual, sample.bracket_tol,
-            stats.max_residual <= sample.bracket_tol, note=note))
+            f"bracket:{name}", stats.max_residual, BRACKET_TOL,
+            stats.max_residual <= BRACKET_TOL, note=note))
 
     fam = lookup(params.family)
     if fam.commuting:
@@ -383,30 +388,27 @@ def certificate(params, sample=None, config=None, corrupt=None):
         res = involution_check(params, pairs=[fam.commuting],
                                points=points)[pair]
         checks.append(CheckResult(
-            f"involution:{pair}", res, sample.bracket_tol,
-            res <= sample.bracket_tol))
+            f"involution:{pair}", res, BRACKET_TOL, res <= BRACKET_TOL))
 
     fraction, _ = independence_stats(params, sample, fam.triple, points)
-    floor = sample.independence_fraction
     checks.append(CheckResult(
-        "independence:" + ",".join(fam.triple), 1.0 - fraction, 1.0 - floor,
-        fraction >= floor,
+        "independence:" + ",".join(fam.triple), 1.0 - fraction,
+        1.0 - INDEPENDENCE_FRACTION, fraction >= INDEPENDENCE_FRACTION,
         note=f"full rank at {fraction:.1%} of {len(points)} points"))
 
     try:
         res = killing_tensor_check(params, sample, points)
         checks.append(CheckResult(
-            "killing_tensor", res, sample.bracket_tol,
-            res <= sample.bracket_tol))
+            "killing_tensor", res, BRACKET_TOL, res <= BRACKET_TOL))
     except NoQuadraticIntegral as exc:
         checks.append(CheckResult(
-            "killing_tensor", None, sample.bracket_tol, None,
+            "killing_tensor", None, BRACKET_TOL, None,
             note=f"skipped: {exc}"))
 
     for prefix, suite, tol in (
-            ("identity", identity_suite, sample.identity_tol),
-            ("algebra", algebra_check, sample.bracket_tol),
-            ("evolution", evolution_law_check, sample.evolution_tol)):
+            ("identity", identity_suite, IDENTITY_TOL),
+            ("algebra", algebra_check, BRACKET_TOL),
+            ("evolution", evolution_law_check, EVOLUTION_TOL)):
         for name, res in suite(params, sample, points).items():
             checks.append(CheckResult(f"{prefix}:{name}", res, tol,
                                       res <= tol))
@@ -418,23 +420,22 @@ def certificate(params, sample=None, config=None, corrupt=None):
         if inert:
             note += f"; inert (single-term): {','.join(inert)}"
         checks.append(CheckResult(
-            "negative_control", weakest, sample.control_floor,
-            weakest > sample.control_floor, note=note))
+            "negative_control", weakest, CONTROL_FLOOR,
+            weakest > CONTROL_FLOOR, note=note))
     else:
         checks.append(CheckResult(
-            "negative_control", None, sample.control_floor, None,
+            "negative_control", None, CONTROL_FLOOR, None,
             note="skipped: every bound integral is single-term"))
 
     try:
         trajectory = integrate(params, points[0], config)
-        rep = drift_report(trajectory, sample.drift_tol)
+        rep = drift_report(trajectory)
         checks.append(CheckResult(
-            "drift", rep.worst, sample.drift_tol,
-            rep.worst <= sample.drift_tol,
+            "drift", rep.worst, DRIFT_TOL, rep.worst <= DRIFT_TOL,
             note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}"))
     except EmptyTrajectory as exc:
         checks.append(CheckResult(
-            "drift", None, sample.drift_tol, None, note=f"skipped: {exc}"))
+            "drift", None, DRIFT_TOL, None, note=f"skipped: {exc}"))
 
     verdict = "pass" if all(c.passed is not False for c in checks) else "fail"
     return Certificate(

@@ -6,9 +6,9 @@ equivalence at n = 0).
 
 Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
 invalid parameters, 3 integration aborted early (partial CSV still
-written).  Every flag can instead come from a flat JSON config file
-(`--config`); explicit flags override file values.  PDM_SEED provides the
-seed default.
+written).  `build_parser` declares each flag once, with its default.
+Every flag can instead come from a flat JSON config file (`--config`);
+explicit flags override file values.  PDM_SEED provides the seed default.
 """
 
 import argparse
@@ -26,7 +26,6 @@ from .phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 # n = 0 reduction targets for the four flat-plane reference tags
@@ -35,10 +34,10 @@ XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
 XCHECK_TOL = 1e-12
 XCHECK_MARGIN = 0.05
 
-_REQUIRED = object()
 
-
-def _env_seed(parser):
+def _seed(args, parser):
+    if args.seed is not None:
+        return int(args.seed)
     raw = os.environ.get("PDM_SEED", "0")
     try:
         return int(raw)
@@ -46,46 +45,10 @@ def _env_seed(parser):
         parser.error(f"PDM_SEED must be an integer, got {raw!r}")
 
 
-def _resolve(args, parser, defaults):
-    """Merge explicit flags over config-file values over defaults.
-
-    Flags are all declared with default None so absence is detectable; the
-    config file mirrors flag names one-to-one in a flat JSON object.
-    """
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(cfg, dict):
-            parser.error(f"config {args.config} must be a flat JSON object")
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-    out = {}
-    for key, fallback in defaults.items():
-        val = getattr(args, key)
-        if val is None:
-            val = cfg.get(key)
-        if val is None:
-            if fallback is _REQUIRED:
-                parser.error(f"--{key.replace('_', '-')} is required")
-            val = fallback
-        out[key] = val
-    return out
-
-
-def _seed(vals, parser):
-    return _env_seed(parser) if vals["seed"] is None else int(vals["seed"])
-
-
-def _params(vals, parser):
+def _params(family, n, args, parser):
     try:
-        return ModelParams(str(vals["family"]), float(vals["n"]),
-                           float(vals["k0"]), float(vals["k1"]),
-                           float(vals["k2"]))
+        return ModelParams(str(family), float(n), float(args.k0),
+                           float(args.k1), float(args.k2))
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -98,13 +61,6 @@ def cmd_list(_args, _parser):
     return EXIT_PASS
 
 
-_CHECK_DEFAULTS = {
-    "family": _REQUIRED, "n": _REQUIRED,
-    "k0": 0.0, "k1": 0.0, "k2": 0.0,
-    "samples": 200, "seed": None, "out": None, "corrupt": None,
-}
-
-
 def _open_out(path, parser):
     try:
         return open(path, "w", encoding="utf-8")
@@ -113,33 +69,24 @@ def _open_out(path, parser):
 
 
 def cmd_check(args, parser):
-    vals = _resolve(args, parser, _CHECK_DEFAULTS)
-    params = _params(vals, parser)
+    params = _params(args.family, args.n, args, parser)
     try:
-        sample = SampleConfig(count=int(vals["samples"]),
-                              box=DomainBox(seed=_seed(vals, parser)))
-        cert = certificate(params, sample, corrupt=vals["corrupt"])
+        sample = SampleConfig(count=int(args.samples),
+                              box=DomainBox(seed=_seed(args, parser)))
+        cert = certificate(params, sample, corrupt=args.corrupt)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
     payload = cert.to_json()
-    if vals["out"]:
-        with _open_out(vals["out"], parser) as fh:
+    if args.out:
+        with _open_out(args.out, parser) as fh:
             fh.write(payload + "\n")
         n_pass = sum(1 for c in cert.checks if c.passed)
         print(f"{params.family} n={params.n:g}: verdict {cert.verdict} "
               f"({n_pass}/{len(cert.checks)} checks passed) "
-              f"-> {vals['out']}")
+              f"-> {args.out}")
     else:
         print(payload)
     return EXIT_PASS if cert.verdict == "pass" else EXIT_FAIL
-
-
-_INTEGRATE_DEFAULTS = {
-    "family": _REQUIRED, "n": _REQUIRED,
-    "k0": 0.0, "k1": 0.0, "k2": 0.0,
-    "r0": _REQUIRED, "phi0": _REQUIRED, "pr0": _REQUIRED, "pphi0": _REQUIRED,
-    "t_end": 50.0, "rtol": 1e-10, "atol": 1e-12, "out": "trajectory.csv",
-}
 
 
 def _write_trajectory_csv(fh, traj):
@@ -153,22 +100,21 @@ def _write_trajectory_csv(fh, traj):
 
 
 def cmd_integrate(args, parser):
-    vals = _resolve(args, parser, _INTEGRATE_DEFAULTS)
-    params = _params(vals, parser)
-    initial = PhasePoint(float(vals["r0"]), float(vals["phi0"]),
-                         float(vals["pr0"]), float(vals["pphi0"]))
+    params = _params(args.family, args.n, args, parser)
+    initial = PhasePoint(float(args.r0), float(args.phi0), float(args.pr0),
+                         float(args.pphi0))
     try:
-        config = IntegratorConfig(t_end=float(vals["t_end"]),
-                                  rtol=float(vals["rtol"]),
-                                  atol=float(vals["atol"]))
+        config = IntegratorConfig(t_end=float(args.t_end),
+                                  rtol=float(args.rtol),
+                                  atol=float(args.atol))
         traj = integrate(params, initial, config)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
-    with _open_out(vals["out"], parser) as fh:
+    with _open_out(args.out, parser) as fh:
         _write_trajectory_csv(fh, traj)
     summary = (f"{params.family} n={params.n:g}: {traj.termination} "
                f"at t={traj.times[-1]:.6g}, {traj.n_accepted} steps "
-               f"({traj.n_rejected} rejected) -> {vals['out']}")
+               f"({traj.n_rejected} rejected) -> {args.out}")
     try:
         report = drift_report(traj)
         heuristic = 10.0 * config.rtol * config.t_end
@@ -180,22 +126,12 @@ def cmd_integrate(args, parser):
     return EXIT_PASS if traj.termination == COMPLETED else EXIT_ABORT
 
 
-_XCHECK_DEFAULTS = {
-    "which": _REQUIRED,
-    "k0": 1.0, "k1": 0.7, "k2": 0.4,
-    "samples": 1000, "seed": None,
-}
-
-
 def cmd_xcheck(args, parser):
-    vals = _resolve(args, parser, _XCHECK_DEFAULTS)
-    which = str(vals["which"])
+    which = str(args.which)
     if which not in XCHECK_FAMILIES:
         parser.error(f"unknown tag {which!r} (choose from a, b, c, d)")
-    params = _params({"family": XCHECK_FAMILIES[which], "n": 0.0,
-                      "k0": vals["k0"], "k1": vals["k1"], "k2": vals["k2"]},
-                     parser)
-    seed = _seed(vals, parser)
+    params = _params(XCHECK_FAMILIES[which], 0.0, args, parser)
+    seed = _seed(args, parser)
     # the family-side pole margins coincide with the cartesian walls at
     # n = 0 (u = -phi); the d twin additionally needs the upper half plane
     if CATALOG[params.family].reduction.upper_half:
@@ -204,10 +140,10 @@ def cmd_xcheck(args, parser):
     else:
         box = DomainBox(phi_margin=XCHECK_MARGIN, seed=seed)
     try:
-        points = sample_points(params, box, int(vals["samples"]))
+        points = sample_points(params, box, int(args.samples))
         residual = max(euclid_equivalence_residual(params, pt)
                        for pt in points)
-    except PdmError as exc:
+    except (PdmError, ValueError) as exc:
         parser.error(str(exc))
     ok = residual <= XCHECK_TOL
     print(f"tag {which}: {params.family} at n=0 vs flat-plane reference, "
@@ -216,15 +152,20 @@ def cmd_xcheck(args, parser):
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _couplings(sub, defaults=(0.0, 0.0, 0.0)):
+    for name, default in zip(("k0", "k1", "k2"), defaults):
+        sub.add_argument(f"--{name}", type=float, default=default)
+
+
 def _model_flags(sub):
     sub.add_argument("--family", choices=tuple(CATALOG))
     sub.add_argument("--n", type=float)
-    sub.add_argument("--k0", type=float)
-    sub.add_argument("--k1", type=float)
-    sub.add_argument("--k2", type=float)
+    _couplings(sub)
 
 
 def build_parser():
+    # `main` checks the `required` flags after parsing, so that a config
+    # file may supply them; `sub` is the subcommand's own parser
     parser = argparse.ArgumentParser(
         prog="pdm",
         description="Deformed-oscillator and deformed-Kepler Hamiltonians: "
@@ -232,49 +173,73 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p_list = subs.add_parser("list", help="print the family catalog")
-    p_list.set_defaults(func=cmd_list)
+    p_list.set_defaults(func=cmd_list, sub=p_list, required=())
 
     p_check = subs.add_parser("check", help="run a certificate")
+    p_check.set_defaults(func=cmd_check, sub=p_check,
+                         required=("family", "n"))
     _model_flags(p_check)
-    p_check.add_argument("--samples", type=int)
+    p_check.add_argument("--samples", type=int, default=SampleConfig.count)
     p_check.add_argument("--seed", type=int)
     p_check.add_argument("--out")
     p_check.add_argument("--corrupt", metavar="INTEGRAL",
                          help="debug: corrupt one integral so the "
                               "certificate fails")
     p_check.add_argument("--config")
-    p_check.set_defaults(func=cmd_check)
 
     p_int = subs.add_parser("integrate", help="integrate one trajectory")
+    p_int.set_defaults(func=cmd_integrate, sub=p_int, required=(
+        "family", "n", "r0", "phi0", "pr0", "pphi0"))
     _model_flags(p_int)
     p_int.add_argument("--r0", type=float)
     p_int.add_argument("--phi0", type=float)
     p_int.add_argument("--pr0", type=float)
     p_int.add_argument("--pphi0", type=float)
-    p_int.add_argument("--t-end", dest="t_end", type=float)
-    p_int.add_argument("--rtol", type=float)
-    p_int.add_argument("--atol", type=float)
-    p_int.add_argument("--out")
+    p_int.add_argument("--t-end", dest="t_end", type=float,
+                       default=IntegratorConfig.t_end)
+    p_int.add_argument("--rtol", type=float, default=IntegratorConfig.rtol)
+    p_int.add_argument("--atol", type=float, default=IntegratorConfig.atol)
+    p_int.add_argument("--out", default="trajectory.csv")
     p_int.add_argument("--config")
-    p_int.set_defaults(func=cmd_integrate)
 
     p_x = subs.add_parser("xcheck",
                           help="flat-plane potential equivalence at n = 0")
+    p_x.set_defaults(func=cmd_xcheck, sub=p_x, required=("which",))
     p_x.add_argument("--which", choices=tuple(XCHECK_FAMILIES))
-    p_x.add_argument("--k0", type=float)
-    p_x.add_argument("--k1", type=float)
-    p_x.add_argument("--k2", type=float)
-    p_x.add_argument("--samples", type=int)
+    _couplings(p_x, (1.0, 0.7, 0.4))
+    p_x.add_argument("--samples", type=int, default=1000)
     p_x.add_argument("--seed", type=int)
     p_x.add_argument("--config")
-    p_x.set_defaults(func=cmd_xcheck)
 
     return parser
+
+
+def _config_defaults(args, parser):
+    """The config file's non-null values, keyed by the subcommand's flags."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"config {args.config} must be a flat JSON object")
+    flags = {a.dest for a in args.sub._actions} - {"help", "config"}
+    unknown = sorted(set(cfg) - flags)
+    if unknown:
+        parser.error(f"unknown config keys: {', '.join(unknown)}")
+    return {key: val for key, val in cfg.items() if val is not None}
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the file's values become defaults, so explicit flags override them
+    if getattr(args, "config", None):
+        args.sub.set_defaults(**_config_defaults(args, parser))
+        args = parser.parse_args(argv)
+    for name in args.required:
+        if getattr(args, name) is None:
+            parser.error(f"--{name.replace('_', '-')} is required")
     return args.func(args, parser)
 
 

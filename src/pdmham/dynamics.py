@@ -11,21 +11,27 @@ accepted steps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
 
-from .errors import EmptyTrajectory
-from .phase import PhasePoint, check_point, singular_distance
+from .errors import EmptyTrajectory, NonFinite
+from .phase import POLE_MARGIN, PhasePoint, check_point, singular_distance
 from .tracing import monitors, vector_field
 
 COMPLETED = "Completed"
 SINGULARITY = "SingularityApproach"
 STEP_FAILURE = "StepFailure"
 
-# Dormand-Prince 5(4) tableau, FSAL (seventh stage row equals the solution
-# weights, so the last derivative evaluation seeds the next step)
+# a step that leaves this radial range ends the run as SingularityApproach
+R_GUARD_MIN = 1e-3
+R_GUARD_MAX = 1e3
+# relative monitor drift above which `drift_report` flags a monitor
+DRIFT_TOL = 1e-6
+
+# Dormand-Prince 5(4) tableau, FSAL: the seventh stage row is the solution
+# weights, so that stage's input is the new state and seeds the next step
 _A = (
     (),
     (1.0 / 5.0,),
@@ -37,10 +43,8 @@ _A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-       11.0 / 84.0, 0.0)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(
-    _B5, (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
+    _A[6] + (0.0,), (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)))
 
 
@@ -52,9 +56,6 @@ class IntegratorConfig:
     h_init: float = 1e-3
     h_min: float = 1e-12
     h_max: float = 1.0
-    r_guard_min: float = 1e-3
-    r_guard_max: float = 1e3
-    phi_margin: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
@@ -63,11 +64,10 @@ class IntegratorConfig:
             raise ValueError("tolerances and horizon must be positive")
 
 
-def fixed_step_config(h, t_end, base=None):
+def fixed_step_config(h, t_end):
     """Config that forces step size h (order studies); tolerances disabled."""
-    base = base or IntegratorConfig()
-    return replace(base, t_end=t_end, h_init=h, h_min=h, h_max=h,
-                   rtol=1e9, atol=1e9)
+    return IntegratorConfig(t_end=t_end, h_init=h, h_min=h, h_max=h,
+                            rtol=1e9, atol=1e9)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _try_field(field, y):
         if (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
                 and isfinite(k[3])):
             return k
-    except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+    except (ArithmeticError, ValueError, TypeError):
         pass
     return None
 
@@ -130,7 +130,7 @@ def integrate(params, initial, config=None):
     step size with finite values as StepFailure).
     """
     config = config or IntegratorConfig()
-    check_point(initial, params, config.phi_margin)
+    check_point(initial, params)
     field = vector_field(params)
     names, monitor_row = monitors(params)
 
@@ -139,7 +139,10 @@ def integrate(params, initial, config=None):
     times = [t]
     states = [y]
     # one flat list of monitor rows keeps per-step storage to the floats
-    mon_values = list(monitor_row(*y))
+    try:
+        mon_values = list(monitor_row(*y))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise NonFinite(f"monitors at the initial state: {exc}") from None
     k1 = _try_field(field, y)
     n_evals = 1
     termination = COMPLETED
@@ -166,7 +169,7 @@ def integrate(params, initial, config=None):
                 termination = SINGULARITY
             continue
 
-        y_new = _combine(y, h, _B5, ks)
+        y_new = y_stage
         err_vec = _combine((0.0,) * 4, h, _ERR, ks)
         err = 0.0
         for i in range(4):
@@ -175,12 +178,9 @@ def integrate(params, initial, config=None):
         err = math.sqrt(0.25 * err)
 
         if err <= h:
-            r_new, phi_new = y_new[0], y_new[1]
-            if not (config.r_guard_min <= r_new <= config.r_guard_max):
-                termination = SINGULARITY
-                break
-            if singular_distance(params.family, params.n,
-                                 phi_new) <= config.phi_margin:
+            if (not R_GUARD_MIN <= y_new[0] <= R_GUARD_MAX
+                    or singular_distance(params.family, params.n,
+                                         y_new[1]) <= POLE_MARGIN):
                 termination = SINGULARITY
                 break
             t += h
@@ -245,7 +245,7 @@ class DriftReport:
         return max((d.rel_drift for d in self.drifts), default=0.0)
 
 
-def drift_report(trajectory, tolerance=1e-6, names=None):
+def drift_report(trajectory, tolerance=DRIFT_TOL, names=None):
     """Per-monitor drift relative to max(1, |initial value|).
 
     `names` restricts the report to a subset of the recorded monitors.

@@ -8,18 +8,14 @@ derivative code.
 
 import math
 
-from .catalog import CATALOG
+from .catalog import CATALOG, lookup
 from .errors import CartesianSingularity, NonZeroN, UnknownFamily
 from .formulas import kinetic
 from .phase import polar_to_cartesian
 
 
 def potential(params, r, phi):
-    try:
-        fam = CATALOG[params.family]
-    except KeyError:
-        raise UnknownFamily(params.family) from None
-    return fam.potential(params, r, phi)
+    return lookup(params.family).potential(params, r, phi)
 
 
 def hamiltonian(params, r, phi, p_r, p_phi):

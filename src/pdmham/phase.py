@@ -13,6 +13,9 @@ FAMILIES = tuple(CATALOG)
 
 _HALF_PI = 0.5 * math.pi
 
+# closest approach of u = k_n*phi to an angular pole that a state may make
+POLE_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -117,7 +120,7 @@ def singular_distance(family, n, phi):
     return best
 
 
-def check_point(point, params, phi_margin=1e-6):
+def check_point(point, params, phi_margin=POLE_MARGIN):
     """Raise the specific domain error that makes `point` invalid, if any."""
     for name in ("r", "phi", "p_r", "p_phi"):
         if not math.isfinite(getattr(point, name)):
@@ -130,7 +133,7 @@ def check_point(point, params, phi_margin=1e-6):
             f"k_n*phi within {phi_margin} of an angular pole (distance {d:.3e})")
 
 
-def validate(point, params, phi_margin=1e-6):
+def validate(point, params, phi_margin=POLE_MARGIN):
     try:
         check_point(point, params, phi_margin)
     except (NonFinite, RadiusNonPositive, AngularSingularity) as err:

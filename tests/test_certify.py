@@ -8,7 +8,7 @@ from pdmham.certify import (CLAIMED_TRIPLES, SampleConfig, certificate,
                             corrupted, corruption_suite, independence_rank,
                             independence_stats, involution_check,
                             killing_tensor_check)
-from pdmham.errors import NoQuadraticIntegral, UnknownIntegral
+from pdmham.errors import DegenerateN, NoQuadraticIntegral, UnknownIntegral
 from pdmham.observables import integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 
@@ -165,3 +165,10 @@ def test_certificate_check_lookup_raises(nd_cert):
 def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(count=0)
+
+
+def test_certificate_refuses_geodesic_at_n_equal_one():
+    # ModelParams admits geodesic at n = 1, but there P2 = -Pphi
+    params = ModelParams("geodesic", 1.0)
+    with pytest.raises(DegenerateN, match="P2 = -Pphi"):
+        certificate(params, _sample(count=10))

@@ -234,3 +234,17 @@ def test_non_finite_residuals_are_strict_json(tmp_path):
     residuals = {c["name"]: c["max_residual"] for c in cert["checks"]}
     assert residuals["bracket:J2"] is None
     assert residuals["negative_control"] is None
+
+
+def test_check_geodesic_n_equal_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", "--family", "geodesic", "--n", "1", "--samples", "20"])
+    assert exc.value.code == 2
+    assert "P2 = -Pphi" in capsys.readouterr().err
+
+
+def test_xcheck_zero_samples_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["xcheck", "--which", "a", "--samples", "0"])
+    assert exc.value.code == 2
+    assert "count must be >= 1" in capsys.readouterr().err

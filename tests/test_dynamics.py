@@ -11,7 +11,7 @@ from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
                              final_state_distance, fixed_step_config,
                              hamilton_vector_field, integrate,
                              time_reversal_defect)
-from pdmham.errors import AngularSingularity, EmptyTrajectory
+from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 GEO0 = ModelParams("geodesic", 0.0, 0.0, 0.0, 0.0)
@@ -262,3 +262,10 @@ def test_drift_report_empty_trajectory():
 
 def test_termination_tags_distinct():
     assert len({COMPLETED, SINGULARITY, STEP_FAILURE}) == 3
+
+
+def test_start_whose_monitors_overflow_is_refused():
+    # r > 0 passes the point check, but H divides by r**2, which underflows
+    with pytest.raises(NonFinite, match="initial state"):
+        integrate(GEO0, PhasePoint(1e-200, 0.0, 0.0, 0.0),
+                  IntegratorConfig(t_end=1.0))

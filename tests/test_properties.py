@@ -1,0 +1,113 @@
+"""Property tests of the two public contracts under hostile input.
+
+`integrate` refuses a bad start with a PdmError and otherwise returns a
+trajectory with a termination tag, never raising mid-run.  `pdm` ends with
+exit code 0, 1, 2 or 3 and raises nothing else.
+"""
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pdmham.cli import main
+from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE,
+                             IntegratorConfig, integrate)
+from pdmham.errors import PdmError
+from pdmham.phase import FAMILIES, ModelParams, PhasePoint, validate
+
+EXPONENTS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+                      st.floats(-3.0, 4.0))
+COUPLINGS = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308]))
+STATES = st.tuples(st.floats(-0.5, 4.0), st.floats(-7.0, 7.0),
+                   st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=EXPONENTS,
+       couplings=st.tuples(COUPLINGS, COUPLINGS, COUPLINGS), state=STATES,
+       t_end=st.floats(0.01, 1.0))
+def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
+        family, n, couplings, state, t_end):
+    try:
+        params = ModelParams(family, n, *couplings)
+    except PdmError:
+        return
+    initial = PhasePoint(*state)
+    try:
+        traj = integrate(params, initial, IntegratorConfig(t_end=t_end))
+    except PdmError:
+        return
+    assert validate(initial, params).ok
+    assert traj.termination in (COMPLETED, SINGULARITY, STEP_FAILURE)
+    assert len(traj) == traj.n_accepted + 1
+
+
+# each flag's (valid, hostile) values
+VALUES = {
+    "--family": (["nc", "nd", "geodesic", "na_central"], ["nx"]),
+    "--n": (["2", "3", "-1", "0.5", "0"], ["1", "nan"]),
+    "--k0": (["0.5", "-1"], ["1e308", "inf"]),
+    "--k1": (["0.25", "0"], ["-0.3"]),
+    "--k2": (["0.125", "0"], ["-1e308"]),
+    "--samples": (["4", "12"], ["0", "-3", "2.5"]),
+    "--seed": (["0", "7"], ["1.5", "x"]),
+    "--corrupt": ([], ["J2", "Jd2", "P1", "nope"]),
+    "--r0": (["1", "0.6"], ["0.02", "0", "-1"]),
+    "--phi0": (["0.7", "2"], ["0", "1e308"]),
+    "--pr0": (["0.3", "-0.2"], ["-3"]),
+    "--pphi0": (["0.4", "0"], ["30"]),
+    "--t-end": (["0.5", "1"], ["0", "-1"]),
+    "--rtol": (["1e-10", "1e-6"], ["0"]),
+    "--atol": (["1e-12"], ["-1"]),
+    "--which": (["a", "b", "c", "d"], ["q"]),
+    "--out": (["{tmp}/out"], ["{tmp}/missing/out"]),
+    "--bogus": ([], ["1"]),
+}
+# the flags each subcommand draws from; the first ones of check and
+# integrate are always given, so that no run falls back to a long default
+FLAGS = {
+    "list": ([], ["--bogus"]),
+    "check": (["--samples"], ["--family", "--n", "--k0", "--k1", "--k2",
+                              "--seed", "--corrupt", "--out", "--bogus"]),
+    "integrate": (["--t-end"], ["--family", "--n", "--k0", "--k1", "--k2",
+                                "--r0", "--phi0", "--pr0", "--pphi0",
+                                "--rtol", "--atol", "--out", "--bogus"]),
+    "xcheck": (["--samples"], ["--which", "--k0", "--k1", "--k2", "--seed",
+                               "--bogus"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    always, maybe = FLAGS[command]
+    argv = [command]
+    for flag in always + maybe:
+        # one time in sixteen a flag gets a hostile value, and one time in
+        # sixteen an optional one is left out, so many runs get past the
+        # usage checks
+        fate = draw(st.integers(0, 15))
+        values = VALUES[flag][1 if fate == 14 else 0]
+        if not values or (fate == 15 and flag not in always):
+            continue
+        # `--flag=value`, so that argparse reads -1e308 as a value
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_pdm_exits_with_a_contract_code(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PDM_SEED", raising=False)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
