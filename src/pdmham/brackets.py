@@ -1,8 +1,12 @@
 """Phase-space gradients and canonical Poisson brackets.
 
-Primary path: one forward dual-number pass per gradient (exact to roundoff).
-Oracle path: central finite differences with per-coordinate steps, used by
-the cross-validation suite only.
+Certificates bracket gradient rows (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi)
+traced once per function by `tracing.gradient_row`, combined in plain
+floats by `row_bracket` and `row_residual`.  The dual path below (one
+forward dual-number pass per gradient, exact to roundoff) is their oracle:
+the row functions repeat its float operations in its order, so the two
+agree bit for bit.  Central finite differences with per-coordinate steps
+are the independent oracle of the cross-validation suite.
 """
 
 import sys
@@ -110,3 +114,15 @@ def scaled_residual(F, G, params, point):
     g_val = value(G(params, *coords))
     res = poisson_bracket(F, G, params, point)
     return abs(res) / bracket_scale(f_val, g_val, point)
+
+
+def row_bracket(f_row, g_row):
+    """{F, G} from two gradient rows, in the order of `bracket_value`."""
+    return ((f_row[1] * g_row[3] - f_row[3] * g_row[1])
+            + (f_row[2] * g_row[4] - f_row[4] * g_row[2]))
+
+
+def row_residual(f_row, g_row, point):
+    """`scaled_residual` from two gradient rows at `point`."""
+    return abs(row_bracket(f_row, g_row)) / bracket_scale(
+        f_row[0], g_row[0], point)

@@ -7,11 +7,14 @@ Killing-tensor condition on quadratic momentum parts, structural
 identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
-Every residual is deterministic given (params, sample seed, integrator
-config).  Tolerances are module constants.  Serialization: top-level JSON
-fields `family`, `n`, `couplings`, `checks` (array of {name, max_residual,
-tolerance, pass}, plus `note` where a check was skipped or needs reading
-guidance), `verdict`.
+The checks that bracket or differentiate combine gradient rows, traced
+once per (params, function) by `tracing.gradient_row`, in plain floats;
+their point loops share `_rows` and `_residuals`.  Every residual is
+deterministic given (params, sample seed, integrator config) and equals
+its `Dual` bracket oracle bit for bit.  Tolerances are module constants.
+Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
+(array of {name, max_residual, tolerance, pass}, plus `note` where a check
+was skipped or needs reading guidance), `verdict`.
 """
 
 import json
@@ -20,22 +23,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .brackets import (BRACKET_TOL, bracket_scale, gradient, poisson_bracket,
-                       scaled_residual)
+from .brackets import (BRACKET_TOL, bracket_scale, gradient, row_bracket,
+                       row_residual)
 from .catalog import CATALOG, lookup
 from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
-from .errors import (DegenerateN, EmptyTrajectory, NoQuadraticIntegral,
-                     UnknownIntegral)
-from .families import hamiltonian
+from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
+                     NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
-from .observables import family_integrals, family_observables, integral
+from .observables import (corruption, corruption_parts, family_integrals,
+                          family_observables)
 from .phase import DomainBox, sample_points
+from .tracing import gradient_row, monitors
 
 # paired integrals whose mutual independence carries each family's claim
 CLAIMED_TRIPLES = {name: fam.triple for name, fam in CATALOG.items()}
 
 RANK_REL_THRESHOLD = 1e-8
-CORRUPTION_FACTOR = 0.1
 
 IDENTITY_TOL = 1e-12
 EVOLUTION_TOL = 1e-10
@@ -124,6 +127,19 @@ def _points(params, sample):
     return sample_points(params, sample.box, sample.count)
 
 
+def _rows(params, name, points, variant=None):
+    """The gradient row of `name` (see `tracing.gradient_row`) at each point."""
+    row = gradient_row(params, name, variant)
+    return [row(*pt.as_tuple()) for pt in points]
+
+
+def _residuals(params, f_name, g_name, points, variant=None):
+    """Scaled |{F, G}| at each point; `variant` applies to F."""
+    return [row_residual(f, g, pt) for f, g, pt in zip(
+        _rows(params, f_name, points, variant),
+        _rows(params, g_name, points), points)]
+
+
 def bracket_residual_suite(params, sample, points=None, corrupt=None):
     """Per-integral max scaled |{J, H}| over the sample.
 
@@ -136,15 +152,14 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
             f"{params.family} does not bind {corrupt!r}")
     out = {}
     for obs in family_observables(params.family):
-        fn = obs
+        part = None
         if obs.name == corrupt:
-            fn = corrupted(obs, params, points[:8])
-            if fn is None:
+            part = _corruption_part(obs, params, points[:8])
+            if part is None:
                 raise ValueError(
                     f"corruption of single-term integral {obs.name} is inert")
-        residuals = [scaled_residual(fn, hamiltonian, params, pt)
-                     for pt in points]
-        out[obs.name] = ResidualStats(max(residuals))
+        out[obs.name] = ResidualStats(
+            max(_residuals(params, obs.name, "H", points, part)))
     return out
 
 
@@ -160,13 +175,17 @@ def involution_check(params, pairs=None, sample=None, points=None):
     if pairs is None:
         names = [n for n in lookup(params.family).triple if n != "H"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    out = {}
-    for name_a, name_b in pairs:
-        obs_a = integral(params.family, name_a)
-        obs_b = integral(params.family, name_b)
-        out[f"{name_a},{name_b}"] = max(
-            scaled_residual(obs_a, obs_b, params, pt) for pt in points)
-    return out
+    return {f"{a},{b}": max(_residuals(params, a, b, points))
+            for a, b in pairs}
+
+
+def _rank(rows):
+    if not 2 <= len(rows) <= 4:
+        raise ValueError("rank check takes 2 to 4 functions")
+    sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
+    if sv[0] == 0.0:
+        return 0, sv
+    return int(np.sum(sv > RANK_REL_THRESHOLD * sv[0])), sv
 
 
 def independence_rank(functions, params, point):
@@ -176,13 +195,8 @@ def independence_rank(functions, params, point):
     the relative cut that keeps integrals of very different magnitude
     comparable.
     """
-    if not 2 <= len(functions) <= 4:
-        raise ValueError("rank check takes 2 to 4 functions")
-    rows = [gradient(fn, params, point).as_tuple() for fn in functions]
-    sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0, sv
-    return int(np.sum(sv > RANK_REL_THRESHOLD * sv[0])), sv
+    return _rank([gradient(fn, params, point).as_tuple()
+                  for fn in functions])
 
 
 def independence_stats(params, sample, names=None, points=None):
@@ -193,12 +207,11 @@ def independence_stats(params, sample, names=None, points=None):
     """
     points = points if points is not None else _points(params, sample)
     names = names or lookup(params.family).triple
-    functions = [integral(params.family, name) for name in names]
     failures = []
     hits = 0
-    for pt in points:
-        rank, sv = independence_rank(functions, params, pt)
-        if rank == len(functions):
+    for pt, *rows in zip(points, *(_rows(params, n, points) for n in names)):
+        rank, sv = _rank([row[1:] for row in rows])
+        if rank == len(names):
             hits += 1
         else:
             failures.append((pt, tuple(float(s) for s in sv)))
@@ -219,15 +232,8 @@ def killing_tensor_check(params, sample, points=None):
             f"{params.family} binds no quadratic integral")
     points = points if points is not None else _points(params, sample)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    worst = 0.0
-    for obs in quadratics:
-        def kpart(_params, r, phi, p_r, p_phi, _obs=obs):
-            return _obs(zeroed, r, phi, p_r, p_phi)
-
-        worst = max(worst,
-                    max(scaled_residual(kpart, hamiltonian, zeroed, pt)
-                        for pt in points))
-    return worst
+    return max([0.0] + [max(_residuals(zeroed, obs.name, "H", points))
+                        for obs in quadratics])
 
 
 def _rel(lhs, rhs):
@@ -255,14 +261,11 @@ def algebra_check(params, sample, points=None):
     points = points if points is not None else _points(params, sample)
     out = {}
     for name, name_a, name_b, rhs in lookup(params.family).algebra:
-        obs_a = integral(params.family, name_a)
-        obs_b = integral(params.family, name_b)
         worst = 0.0
-        for pt in points:
-            args = (params,) + pt.as_tuple()
-            res = abs(poisson_bracket(obs_a, obs_b, params, pt) - rhs(*args))
-            worst = max(worst, res / bracket_scale(obs_a(*args),
-                                                   obs_b(*args), pt))
+        for pt, a, b in zip(points, _rows(params, name_a, points),
+                            _rows(params, name_b, points)):
+            res = abs(row_bracket(a, b) - rhs(params, *pt.as_tuple()))
+            worst = max(worst, res / bracket_scale(a[0], b[0], pt))
         out[name] = worst
     return out
 
@@ -278,30 +281,38 @@ def evolution_law_check(params, sample, points=None):
     """
     fam = lookup(params.family)
     points = points if points is not None else _points(params, sample)
+    h_rows = _rows(params, "H", points)
     out = {}
-    for label, (re_fn, im_fn), rate in fam.laws:
+    for label, _, rate in fam.laws:
         # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re
         worst = 0.0
-        for pt in points:
-            args = (params,) + pt.as_tuple()
+        for pt, h, zr, zi in zip(points, h_rows,
+                                 _rows(params, f"{label}.re", points),
+                                 _rows(params, f"{label}.im", points)):
             c = rate(params, pt)
-            zr, zi = re_fn(*args), im_fn(*args)
-            h_val = hamiltonian(*args)
-            scale = bracket_scale(math.hypot(zr, zi), h_val, pt)
-            res_r = abs(poisson_bracket(re_fn, hamiltonian, params, pt)
-                        + c * zi)
-            res_i = abs(poisson_bracket(im_fn, hamiltonian, params, pt)
-                        - c * zr)
+            scale = bracket_scale(math.hypot(zr[0], zi[0]), h[0], pt)
+            res_r = abs(row_bracket(zr, h) + c * zi[0])
+            res_i = abs(row_bracket(zi, h) - c * zr[0])
             worst = max(worst, max(res_r, res_i) / scale)
         out[f"{label}_law"] = worst
 
     if fam.conserved_product:
-        prod_re, prod_im = fam.conserved_product
-        out["product_conserved"] = max(
-            max(scaled_residual(prod_re, hamiltonian, params, pt),
-                scaled_residual(prod_im, hamiltonian, params, pt))
-            for pt in points)
+        out["product_conserved"] = max(map(
+            max, _residuals(params, "product.re", "H", points),
+            _residuals(params, "product.im", "H", points)))
     return out
+
+
+def _corruption_part(obs, params, probe_points):
+    """The part `corrupted` scales, or None when the integral is inert."""
+    full = [obs(params, *pt.as_tuple()) for pt in probe_points]
+    for name, part in corruption_parts(obs, params).items():
+        sub = [part(params, *pt.as_tuple()) for pt in probe_points]
+        nonzero = max(abs(v) for v in sub)
+        differs = max(abs(f - s) for f, s in zip(full, sub))
+        if nonzero > 1e-9 and differs > 1e-9:
+            return name
+    return None
 
 
 def corrupted(obs, params, probe_points):
@@ -313,51 +324,35 @@ def corrupted(obs, params, probe_points):
     integral admits no symmetry-breaking corruption (scaling a conserved
     quantity keeps it conserved), so None marks it inert.
     """
-    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-
-    def mom_part(_params, r, phi, p_r, p_phi):
-        return obs(zeroed, r, phi, p_r, p_phi)
-
-    def radial_part(_params, r, phi, p_r, p_phi):
-        return obs(params, r, phi, p_r, 0.0)
-
-    def spread(part):
-        full = [obs(params, *pt.as_tuple()) for pt in probe_points]
-        sub = [part(params, *pt.as_tuple()) for pt in probe_points]
-        nonzero = max(abs(v) for v in sub)
-        differs = max(abs(f - s) for f, s in zip(full, sub))
-        return nonzero > 1e-9 and differs > 1e-9
-
-    part = None
-    if spread(mom_part):
-        part = mom_part
-    elif spread(radial_part):
-        part = radial_part
-    if part is None:
-        return None
-
-    def corrupt(p, r, phi, p_r, p_phi):
-        return obs(p, r, phi, p_r, p_phi) + CORRUPTION_FACTOR * part(
-            p, r, phi, p_r, p_phi)
-
-    return corrupt
+    part = _corruption_part(obs, params, probe_points)
+    return None if part is None else corruption(obs, params, part)
 
 
 def corruption_suite(params, sample, points=None):
     """Max scaled residual of each corrupted integral; the harness is
     sensitive when every non-inert corruption lands well above tolerance."""
     points = points if points is not None else _points(params, sample)
-    probes = points[:8]
     results = {}
     inert = []
     for obs in family_observables(params.family):
-        broken = corrupted(obs, params, probes)
-        if broken is None:
+        part = _corruption_part(obs, params, points[:8])
+        if part is None:
             inert.append(obs.name)
             continue
         results[obs.name] = max(
-            scaled_residual(broken, hamiltonian, params, pt) for pt in points)
+            _residuals(params, obs.name, "H", points, part))
     return results, tuple(inert)
+
+
+def _require_finite(params, points):
+    """Raise NonFinite unless H and every bound integral are finite at
+    every sample point."""
+    names, row = monitors(params)
+    for pt in points:
+        for name, val in zip(names, row(*pt.as_tuple())):
+            if not math.isfinite(val):
+                raise NonFinite(f"{name} is {val} at the sample point "
+                                f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
 
 
 def certificate(params, sample=None, config=None, corrupt=None):
@@ -365,53 +360,62 @@ def certificate(params, sample=None, config=None, corrupt=None):
 
     Check failures turn the verdict, never raise; a check that cannot run
     for structural reasons is recorded as skipped with its reason.
-    `corrupt` names one integral to corrupt before the bracket suite, as a
-    live demonstration that a broken claim fails the certificate.
+    Couplings so large that H, an integral or a check overflows raise
+    NonFinite before a verdict is drawn.  `corrupt` names one integral to
+    corrupt before the bracket suite, as a live demonstration that a
+    broken claim fails the certificate.
     """
     if params.n == 1.0:
         raise DegenerateN("n = 1 degenerate (k_n = 0): P2 = -Pphi")
     sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
     points = _points(params, sample)
-    checks = []
+    try:
+        _require_finite(params, points)
+        checks = tuple(_checks(params, sample, config, points, corrupt))
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        # the SVD of the rank check fails only on partials that overflowed
+        raise NonFinite(f"a check overflows at these couplings: "
+                        f"{exc.args[-1]}") from None
+    verdict = "pass" if all(c.passed is not False for c in checks) else "fail"
+    return Certificate(params=params, checks=checks, verdict=verdict)
 
+
+def _checks(params, sample, config, points, corrupt):
     suite = bracket_residual_suite(params, sample, points, corrupt=corrupt)
     for name, stats in suite.items():
         note = "+10% corruption applied" if name == corrupt else None
-        checks.append(CheckResult(
-            f"bracket:{name}", stats.max_residual, BRACKET_TOL,
-            stats.max_residual <= BRACKET_TOL, note=note))
+        yield CheckResult(f"bracket:{name}", stats.max_residual, BRACKET_TOL,
+                          stats.max_residual <= BRACKET_TOL, note=note)
 
     fam = lookup(params.family)
     if fam.commuting:
         pair = ",".join(fam.commuting)
         res = involution_check(params, pairs=[fam.commuting],
                                points=points)[pair]
-        checks.append(CheckResult(
-            f"involution:{pair}", res, BRACKET_TOL, res <= BRACKET_TOL))
+        yield CheckResult(f"involution:{pair}", res, BRACKET_TOL,
+                          res <= BRACKET_TOL)
 
     fraction, _ = independence_stats(params, sample, fam.triple, points)
-    checks.append(CheckResult(
+    yield CheckResult(
         "independence:" + ",".join(fam.triple), 1.0 - fraction,
         1.0 - INDEPENDENCE_FRACTION, fraction >= INDEPENDENCE_FRACTION,
-        note=f"full rank at {fraction:.1%} of {len(points)} points"))
+        note=f"full rank at {fraction:.1%} of {len(points)} points")
 
     try:
         res = killing_tensor_check(params, sample, points)
-        checks.append(CheckResult(
-            "killing_tensor", res, BRACKET_TOL, res <= BRACKET_TOL))
+        yield CheckResult("killing_tensor", res, BRACKET_TOL,
+                          res <= BRACKET_TOL)
     except NoQuadraticIntegral as exc:
-        checks.append(CheckResult(
-            "killing_tensor", None, BRACKET_TOL, None,
-            note=f"skipped: {exc}"))
+        yield CheckResult("killing_tensor", None, BRACKET_TOL, None,
+                          note=f"skipped: {exc}")
 
     for prefix, suite, tol in (
             ("identity", identity_suite, IDENTITY_TOL),
             ("algebra", algebra_check, BRACKET_TOL),
             ("evolution", evolution_law_check, EVOLUTION_TOL)):
         for name, res in suite(params, sample, points).items():
-            checks.append(CheckResult(f"{prefix}:{name}", res, tol,
-                                      res <= tol))
+            yield CheckResult(f"{prefix}:{name}", res, tol, res <= tol)
 
     results, inert = corruption_suite(params, sample, points)
     if results:
@@ -419,27 +423,18 @@ def certificate(params, sample=None, config=None, corrupt=None):
         note = "passes when the corrupted residual exceeds tolerance"
         if inert:
             note += f"; inert (single-term): {','.join(inert)}"
-        checks.append(CheckResult(
-            "negative_control", weakest, CONTROL_FLOOR,
-            weakest > CONTROL_FLOOR, note=note))
+        yield CheckResult("negative_control", weakest, CONTROL_FLOOR,
+                          weakest > CONTROL_FLOOR, note=note)
     else:
-        checks.append(CheckResult(
-            "negative_control", None, CONTROL_FLOOR, None,
-            note="skipped: every bound integral is single-term"))
+        yield CheckResult("negative_control", None, CONTROL_FLOOR, None,
+                          note="skipped: every bound integral is single-term")
 
     try:
         trajectory = integrate(params, points[0], config)
         rep = drift_report(trajectory)
-        checks.append(CheckResult(
+        yield CheckResult(
             "drift", rep.worst, DRIFT_TOL, rep.worst <= DRIFT_TOL,
-            note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}"))
+            note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}")
     except EmptyTrajectory as exc:
-        checks.append(CheckResult(
-            "drift", None, DRIFT_TOL, None, note=f"skipped: {exc}"))
-
-    verdict = "pass" if all(c.passed is not False for c in checks) else "fail"
-    return Certificate(
-        params=params,
-        checks=tuple(checks),
-        verdict=verdict,
-    )
+        yield CheckResult("drift", None, DRIFT_TOL, None,
+                          note=f"skipped: {exc}")

@@ -7,8 +7,9 @@ equivalence at n = 0).
 Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
 invalid parameters, 3 integration aborted early (partial CSV still
 written).  `build_parser` declares each flag once, with its default.
-Every flag can instead come from a flat JSON config file (`--config`);
-explicit flags override file values.  PDM_SEED provides the seed default.
+Every flag can instead come from a flat JSON config file (`--config`),
+whose numbers and strings parse as if typed; explicit flags override file
+values.  PDM_SEED provides the seed default.
 """
 
 import argparse
@@ -37,7 +38,7 @@ XCHECK_MARGIN = 0.05
 
 def _seed(args, parser):
     if args.seed is not None:
-        return int(args.seed)
+        return args.seed
     raw = os.environ.get("PDM_SEED", "0")
     try:
         return int(raw)
@@ -47,8 +48,7 @@ def _seed(args, parser):
 
 def _params(family, n, args, parser):
     try:
-        return ModelParams(str(family), float(n), float(args.k0),
-                           float(args.k1), float(args.k2))
+        return ModelParams(family, n, args.k0, args.k1, args.k2)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -71,7 +71,7 @@ def _open_out(path, parser):
 def cmd_check(args, parser):
     params = _params(args.family, args.n, args, parser)
     try:
-        sample = SampleConfig(count=int(args.samples),
+        sample = SampleConfig(count=args.samples,
                               box=DomainBox(seed=_seed(args, parser)))
         cert = certificate(params, sample, corrupt=args.corrupt)
     except (PdmError, ValueError) as exc:
@@ -101,12 +101,10 @@ def _write_trajectory_csv(fh, traj):
 
 def cmd_integrate(args, parser):
     params = _params(args.family, args.n, args, parser)
-    initial = PhasePoint(float(args.r0), float(args.phi0), float(args.pr0),
-                         float(args.pphi0))
+    initial = PhasePoint(args.r0, args.phi0, args.pr0, args.pphi0)
     try:
-        config = IntegratorConfig(t_end=float(args.t_end),
-                                  rtol=float(args.rtol),
-                                  atol=float(args.atol))
+        config = IntegratorConfig(t_end=args.t_end, rtol=args.rtol,
+                                  atol=args.atol)
         traj = integrate(params, initial, config)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
@@ -127,7 +125,7 @@ def cmd_integrate(args, parser):
 
 
 def cmd_xcheck(args, parser):
-    which = str(args.which)
+    which = args.which
     if which not in XCHECK_FAMILIES:
         parser.error(f"unknown tag {which!r} (choose from a, b, c, d)")
     params = _params(XCHECK_FAMILIES[which], 0.0, args, parser)
@@ -140,7 +138,7 @@ def cmd_xcheck(args, parser):
     else:
         box = DomainBox(phi_margin=XCHECK_MARGIN, seed=seed)
     try:
-        points = sample_points(params, box, int(args.samples))
+        points = sample_points(params, box, args.samples)
         residual = max(euclid_equivalence_residual(params, pt)
                        for pt in points)
     except (PdmError, ValueError) as exc:
@@ -227,7 +225,12 @@ def _config_defaults(args, parser):
     unknown = sorted(set(cfg) - flags)
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
-    return {key: val for key, val in cfg.items() if val is not None}
+    nested = sorted(key for key, val in cfg.items()
+                    if isinstance(val, (list, dict)))
+    if nested:
+        parser.error(f"config values must be scalars: {', '.join(nested)}")
+    # as strings the values go through each flag's own type, as if typed
+    return {key: str(val) for key, val in cfg.items() if val is not None}
 
 
 def main(argv=None):

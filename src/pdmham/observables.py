@@ -1,11 +1,13 @@
 """Lookup of the integrals bound to each family, plus the complex factor
 functions whose evolution laws and modulus identities the certifier
-verifies.
+verifies, and the corrupted variants of the negative control.
 
 Names are unique per family, not globally: nc and na_prime both bind a
 J2/J3 pair, nc1 and nc2 both bind Jc2/Jc3, so lookups take (family, name).
 The formulas themselves live in `formulas`, their binding in `catalog`.
 """
+
+from dataclasses import replace
 
 from .catalog import Integral, lookup
 from .dual import cos, sin
@@ -42,6 +44,35 @@ def integral(family, name):
 
 def family_observables(family):
     return lookup(family).bound
+
+
+CORRUPTION_FACTOR = 0.1
+
+
+def corruption_parts(obs, params):
+    """The parts of an integral a corruption may scale, in order of
+    preference: "momentum", the couplings-zeroed momentum part, and
+    "radial", its value at p_phi = 0."""
+    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
+
+    def momentum(_params, r, phi, p_r, p_phi):
+        return obs(zeroed, r, phi, p_r, p_phi)
+
+    def radial(_params, r, phi, p_r, p_phi):
+        return obs(params, r, phi, p_r, 0.0)
+
+    return {"momentum": momentum, "radial": radial}
+
+
+def corruption(obs, params, part):
+    """obs plus CORRUPTION_FACTOR times its part named `part`."""
+    scaled = corruption_parts(obs, params)[part]
+
+    def corrupt(p, r, phi, p_r, p_phi):
+        return obs(p, r, phi, p_r, p_phi) + CORRUPTION_FACTOR * scaled(
+            p, r, phi, p_r, p_phi)
+
+    return corrupt
 
 
 def complex_m(params, point):

@@ -1,5 +1,6 @@
-"""Source-transformation differentiation: each family's vector field and
-monitor row, traced once per parameter set into straight-line float code.
+"""Source-transformation differentiation: each family's vector field,
+monitor row and gradient rows, traced once per parameter set into
+straight-line float code.
 
 A recording scalar `Sym` runs through the same `formulas`/`catalog` code
 that floats and duals run through and appends one line of Python per float
@@ -13,6 +14,11 @@ dropped, so a term multiplied by a constant zero can no longer turn the
 result into a NaN or a complex number, or raise.  Repeated subexpressions
 are computed once.
 
+A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) feeds the sampled
+certificate checks.  F comes from the float trace of F, as in the monitor
+row, because the value part of a dual can differ from the float path by
+an ulp; the partials come from the tangents of one seeded dual pass.
+
 `Sym` has no truth value and no comparisons, so a formula that branches on
 a traced value fails while tracing instead of compiling one branch.
 """
@@ -20,9 +26,10 @@ a traced value fails while tracing instead of compiling one branch.
 import functools
 import math
 
+from .catalog import lookup
 from .dual import seed, tangent
 from .families import hamiltonian
-from .observables import family_integrals, integral
+from .observables import corruption, family_integrals, integral
 
 _COORDS = ("r", "phi", "p_r", "p_phi")
 _GLOBALS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
@@ -159,3 +166,35 @@ def monitors(params):
     fns = [integral(params.family, name) for name in names]
     return names, compile_traced(
         lambda *y: tuple(fn(params, *y) for fn in fns))
+
+
+def _named(family, name):
+    """H, T, a bound integral, or a part of a complex factor: `<law>.re` and
+    `<law>.im` for each evolution law, `product.re` and `product.im`."""
+    law, dot, part = name.partition(".")
+    if not dot:
+        return integral(family, name)
+    fam = lookup(family)
+    pairs = {label: pair for label, pair, _ in fam.laws}
+    pairs["product"] = fam.conserved_product
+    return pairs[law][("re", "im").index(part)]
+
+
+def _row(fn, params, r, phi, p_r, p_phi):
+    dual = fn(params, *seed(r, phi, p_r, p_phi))
+    return (fn(params, r, phi, p_r, p_phi),) + tuple(tangent(dual))
+
+
+@functools.lru_cache(maxsize=512)
+def gradient_row(params, name, variant=None):
+    """Compiled row(r, phi, p_r, p_phi) -> (F, dF/dr, dF/dphi, dF/dp_r,
+    dF/dp_phi) of the function `name` (see `_named`).
+
+    `variant` names the part whose corruption replaces F (see
+    `observables.corruption`).  The Killing part of an integral is its plain
+    row at couplings zeroed.
+    """
+    fn = _named(params.family, name)
+    if variant is not None:
+        fn = corruption(fn, params, variant)
+    return compile_traced(functools.partial(_row, fn, params))

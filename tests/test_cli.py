@@ -1,6 +1,7 @@
 """Exit-code contract, artifact schemas, config merging."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import sys
 import pytest
 
 import pdmham
+from pdmham.certify import Certificate, CheckResult
 from pdmham.cli import main
+from pdmham.phase import ModelParams
 
 ND_FLAGS = ["--family", "nd", "--n", "3", "--k0", "1", "--k1", "0.5",
             "--k2", "-0.3", "--samples", "60", "--seed", "7"]
@@ -221,10 +224,15 @@ def test_integrate_non_integer_n_exits_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_non_finite_residuals_are_strict_json(tmp_path):
+def test_non_finite_residuals_are_strict_json(tmp_path, monkeypatch):
+    # an overflowing residual reaches the file as null, not NaN or Infinity
+    checks = (CheckResult("bracket:J2", math.inf, 1e-10, False),
+              CheckResult("negative_control", math.nan, 1e-3, False))
+    monkeypatch.setattr(pdmham.cli, "certificate", lambda *_, **__: Certificate(
+        ModelParams("nc", 2.0), checks, "fail"))
     out = tmp_path / "cert.json"
-    code = run(["check", "--family", "nc", "--n", "2", "--k0", "1e308",
-                "--samples", "20", "--out", str(out)])
+    code = run(["check", "--family", "nc", "--n", "2", "--samples", "20",
+                "--out", str(out)])
     assert code == 1
 
     def reject(token):
@@ -234,6 +242,34 @@ def test_non_finite_residuals_are_strict_json(tmp_path):
     residuals = {c["name"]: c["max_residual"] for c in cert["checks"]}
     assert residuals["bracket:J2"] is None
     assert residuals["negative_control"] is None
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--family", "nc", "--k0", "1e308"], "H is inf at the sample point"),
+    (["--family", "nd", "--k1", "1e160"], "a check overflows"),
+])
+def test_check_overflowing_coupling_is_usage_error(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", *flags, "--n", "2", "--samples", "20"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("check", {"family": "nc", "n": [2]}),
+    ("check", {"family": "nc", "n": 2, "k0": {"a": 1}}),
+    ("check", {"family": "nc", "n": 2, "samples": math.inf}),
+    ("integrate", {"family": "nc", "n": 2, "r0": [1], "phi0": 0.5,
+                   "pr0": 0.1, "pphi0": 0.8, "t_end": 0.1}),
+])
+def test_config_value_of_the_wrong_kind_is_usage_error(tmp_path, capsys,
+                                                       command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_check_geodesic_n_equal_one_is_usage_error(capsys):

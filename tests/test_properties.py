@@ -2,20 +2,28 @@
 
 `integrate` refuses a bad start with a PdmError and otherwise returns a
 trajectory with a termination tag, never raising mid-run.  `pdm` ends with
-exit code 0, 1, 2 or 3 and raises nothing else.
+exit code 0, 1, 2 or 3 and raises nothing else, whatever its `--config`
+file holds, and a failed verdict (1) never rests on a non-finite H or
+integral.
 """
 
 import contextlib
 import io
+import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pdmham.cli
+from pdmham.certify import SampleConfig, certificate
 from pdmham.cli import main
 from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE,
                              IntegratorConfig, integrate)
 from pdmham.errors import PdmError
-from pdmham.phase import FAMILIES, ModelParams, PhasePoint, validate
+from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
+                          sample_points, validate)
+from pdmham.tracing import monitors
 
 EXPONENTS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
                       st.floats(-3.0, 4.0))
@@ -44,13 +52,36 @@ def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
     assert len(traj) == traj.n_accepted + 1
 
 
+def _require_finite_monitors(params, sample):
+    _, row = monitors(params)
+    for pt in sample_points(params, sample.box, sample.count):
+        assert all(map(math.isfinite, row(*pt.as_tuple()))), (params, pt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       n=st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]),
+       couplings=st.tuples(*3 * [st.one_of(
+           st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 1e160]))]),
+       box_seed=st.integers(0, 3))
+def test_certificate_refuses_overflow_or_rests_on_finite_values(
+        family, n, couplings, box_seed):
+    params = ModelParams(family, n, *couplings)
+    sample = SampleConfig(count=4, box=DomainBox(seed=box_seed))
+    try:
+        certificate(params, sample, IntegratorConfig(t_end=0.01))
+    except PdmError:
+        return
+    _require_finite_monitors(params, sample)
+
+
 # each flag's (valid, hostile) values
 VALUES = {
     "--family": (["nc", "nd", "geodesic", "na_central"], ["nx"]),
     "--n": (["2", "3", "-1", "0.5", "0"], ["1", "nan"]),
-    "--k0": (["0.5", "-1"], ["1e308", "inf"]),
-    "--k1": (["0.25", "0"], ["-0.3"]),
-    "--k2": (["0.125", "0"], ["-1e308"]),
+    "--k0": (["0.5", "-1"], ["1e308", "-1e308", "inf"]),
+    "--k1": (["0.25", "0"], ["-0.3", "1e308"]),
+    "--k2": (["0.125", "0"], ["-1e308", "1e308"]),
     "--samples": (["4", "12"], ["0", "-3", "2.5"]),
     "--seed": (["0", "7"], ["1.5", "x"]),
     "--corrupt": ([], ["J2", "Jd2", "P1", "nope"]),
@@ -79,31 +110,71 @@ FLAGS = {
 }
 
 
+# what a config file may hold where a flag value belongs, beside valid
+# values: arrays, objects, huge numbers and nulls
+HOSTILE_CONFIG = st.one_of(
+    st.lists(st.floats(-2.0, 2.0), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(-2, 2), max_size=2),
+    st.sampled_from([1e308, -1e308, None]))
+
+
+def _json_value(text):
+    """A flag's value as a config file would hold it."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     always, maybe = FLAGS[command]
     argv = [command]
+    config = {}
     for flag in always + maybe:
         # one time in sixteen a flag gets a hostile value, and one time in
         # sixteen an optional one is left out, so many runs get past the
-        # usage checks
+        # usage checks; four times in sixteen an optional flag moves to the
+        # config file, where fate 13 swaps its value for a hostile one
         fate = draw(st.integers(0, 15))
         values = VALUES[flag][1 if fate == 14 else 0]
         if not values or (fate == 15 and flag not in always):
             continue
+        value = draw(st.sampled_from(values))
+        if command != "list" and flag not in always and fate >= 11:
+            key = flag[2:].replace("-", "_")
+            config[key] = (draw(HOSTILE_CONFIG) if fate == 13
+                           else _json_value(value))
+            continue
         # `--flag=value`, so that argparse reads -1e308 as a value
-        argv.append(f"{flag}={draw(st.sampled_from(values))}")
-    return argv
+        argv.append(f"{flag}={value}")
+    if config:
+        argv.append("--config={tmp}/config.json")
+    return argv, config
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=argvs())
-def test_pdm_exits_with_a_contract_code(argv, tmp_path, monkeypatch):
+@given(case=argvs())
+def test_pdm_exits_with_a_contract_code(case, tmp_path, monkeypatch):
+    argv, config = case
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PDM_SEED", raising=False)
+    (tmp_path / "config.json").write_text(
+        json.dumps(config).replace("{tmp}", str(tmp_path)))
     argv = [a.format(tmp=tmp_path) for a in argv]
+    certified = []
+
+    def recording(params, sample, **kwargs):
+        certified.append((params, sample))
+        return certificate(params, sample, **kwargs)
+
+    # the fixture is not undone between examples, so wrap the library's
+    # own function, never the attribute a previous example replaced
+    monkeypatch.setattr(pdmham.cli, "certificate", recording)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -111,3 +182,5 @@ def test_pdm_exits_with_a_contract_code(argv, tmp_path, monkeypatch):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), argv
+    if code == 1 and certified:
+        _require_finite_monitors(*certified[0])

@@ -1,14 +1,20 @@
-"""The traced field and monitor row against their dual and float oracles."""
+"""The traced field, monitor row and gradient rows against their dual and
+float oracles."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pdmham.brackets import (gradient, poisson_bracket, row_bracket,
+                             row_residual, scaled_residual)
 from pdmham.catalog import CATALOG
 from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
-from pdmham.observables import integral
+from pdmham.observables import corruption, integral
 from pdmham.phase import DomainBox, ModelParams, sample_points
-from pdmham.tracing import compile_traced, monitors, vector_field
+from pdmham.tracing import (compile_traced, gradient_row, monitors,
+                            vector_field)
 
 CASES = [(family, n) for family in CATALOG
          for n in (-1.0, 0.0, 0.5, 2.0, 3.0)]
@@ -54,3 +60,57 @@ def test_numpy_scalar_couplings_trace_to_float_literals():
 def test_branching_on_a_traced_value_fails_at_trace_time(branching):
     with pytest.raises(TypeError, match="branched"):
         compile_traced(branching)
+
+
+def _row_functions(params):
+    """(row params, name, variant, function) for every gradient row the
+    certificate brackets: H, T and each bound integral, both corrupted
+    variants of each, the Killing parts (couplings zeroed) and the parts
+    of each complex factor."""
+    fam = CATALOG[params.family]
+    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
+    plain = ("H", "T") + fam.integrals
+    out = [(params, name, None, integral(params.family, name))
+           for name in plain]
+    out += [(params, obs.name, part, corruption(obs, params, part))
+            for obs in fam.bound for part in ("momentum", "radial")]
+    out += [(zeroed, name, None, integral(params.family, name))
+            for name in plain]
+    factors = [(label, pair) for label, pair, _ in fam.laws]
+    if fam.conserved_product:
+        factors.append(("product", fam.conserved_product))
+    out += [(params, f"{label}.{part}", None, fn) for label, pair in factors
+            for part, fn in zip(("re", "im"), pair)]
+    return out
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family in CATALOG
+                                      for n in (-1.0, 0.5, 2.0, 3.0)])
+def test_row_brackets_equal_dual_brackets(family, n):
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    functions = _row_functions(params)
+    points = [pt for box_seed in (3, 4)
+              for pt in sample_points(params, DomainBox(seed=box_seed), 20)]
+    for row_params, name, variant, fn in functions:
+        row = gradient_row(row_params, name, variant)
+        h_row = gradient_row(row_params, "H")
+        for pt in points:
+            y = pt.as_tuple()
+            f, h = row(*y), h_row(*y)
+            assert f == (fn(row_params, *y),) + gradient(
+                fn, row_params, pt).as_tuple()
+            assert row_bracket(f, h) == poisson_bracket(
+                fn, hamiltonian, row_params, pt)
+            assert row_residual(f, h, pt) == scaled_residual(
+                fn, hamiltonian, row_params, pt)
+    # the pairs of involution and algebra checks
+    plain = [(name, fn) for row_params, name, variant, fn in functions
+             if row_params is params and variant is None]
+    for i, (name_a, fn_a) in enumerate(plain):
+        for name_b, fn_b in plain[i + 1:]:
+            row_a = gradient_row(params, name_a)
+            row_b = gradient_row(params, name_b)
+            for pt in points:
+                a, b = row_a(*pt.as_tuple()), row_b(*pt.as_tuple())
+                assert row_residual(a, b, pt) == scaled_residual(
+                    fn_a, fn_b, params, pt)
