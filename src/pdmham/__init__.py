@@ -9,8 +9,8 @@ monitors, and flat-plane cross-checks of the n = 0 reductions.
 from .brackets import (BRACKET_TOL, gradient, gradient_fd, poisson_bracket,
                        poisson_bracket_fd, scaled_residual)
 from .certify import (Certificate, CheckResult, SampleConfig,
-                      bracket_residual_suite, certificate, independence_rank,
-                      involution_check, killing_tensor_check)
+                      bracket_residual_suite, certificate, involution_check,
+                      killing_tensor_check)
 from .dual import Dual
 from .dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
                        IntegratorConfig, Trajectory, drift_report,
@@ -37,9 +37,9 @@ __all__ = [
     "euclid_equivalence_residual", "euclidean_potential", "family_integrals",
     "family_observables", "final_state_distance", "fixed_step_config",
     "gradient", "gradient_fd", "hamilton_vector_field", "hamiltonian",
-    "independence_rank", "integral", "integrate", "involution_check",
-    "killing_tensor_check", "killing_vector", "kinetic", "lambda_factor",
-    "lie_derivative_metric", "metric", "noether_momentum", "poisson_bracket",
-    "poisson_bracket_fd", "polar_to_cartesian", "potential", "sample_points",
-    "scaled_residual", "time_reversal_defect", "validate",
+    "integral", "integrate", "involution_check", "killing_tensor_check",
+    "killing_vector", "kinetic", "lambda_factor", "lie_derivative_metric",
+    "metric", "noether_momentum", "poisson_bracket", "poisson_bracket_fd",
+    "polar_to_cartesian", "potential", "sample_points", "scaled_residual",
+    "time_reversal_defect", "validate",
 ]

@@ -7,11 +7,12 @@ Killing-tensor condition on quadratic momentum parts, structural
 identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
-The checks that bracket or differentiate combine gradient rows, traced
-once per (params, function) by `tracing.gradient_row`, in plain floats;
-their point loops share `_rows` and `_residuals`.  Every residual is
-deterministic given (params, sample seed, integrator config) and equals
-its `Dual` bracket oracle bit for bit.  Tolerances are module constants.
+The checks combine gradient rows of the catalog's own functions, traced
+once per (params, function) by `tracing.gradient_row`, in plain floats,
+and reduce their residuals through `_worst`, which refuses a NaN or an
+infinity.  Every residual is deterministic given (params, sample seed,
+integrator config) and equals its `Dual` bracket oracle bit for bit.
+Tolerances are module constants.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
@@ -20,18 +21,18 @@ was skipped or needs reading guidance), `verdict`.
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .brackets import (BRACKET_TOL, bracket_scale, gradient, row_bracket,
-                       row_residual)
+from .brackets import BRACKET_TOL, bracket_scale, row_bracket, row_residual
 from .catalog import CATALOG, lookup
 from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
 from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
                      NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
-from .observables import (corruption, corruption_parts, family_integrals,
-                          family_observables)
+from .observables import (corruption_parts, family_integrals,
+                          family_observables, integral)
 from .phase import DomainBox, sample_points
 from .tracing import gradient_row, monitors
 
@@ -56,11 +57,6 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
-
-
-@dataclass(frozen=True)
-class ResidualStats:
-    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -127,17 +123,31 @@ def _points(params, sample):
     return sample_points(params, sample.box, sample.count)
 
 
-def _rows(params, name, points, variant=None):
-    """The gradient row of `name` (see `tracing.gradient_row`) at each point."""
-    row = gradient_row(params, name, variant)
+def _rows(params, fn, points, variant=None):
+    """The gradient row of `fn` (see `tracing.gradient_row`) at each point."""
+    row = gradient_row(params, fn, variant)
     return [row(*pt.as_tuple()) for pt in points]
 
 
-def _residuals(params, f_name, g_name, points, variant=None):
-    """Scaled |{F, G}| at each point; `variant` applies to F."""
-    return [row_residual(f, g, pt) for f, g, pt in zip(
-        _rows(params, f_name, points, variant),
-        _rows(params, g_name, points), points)]
+def _worst(check, residuals):
+    """The largest of (residual, point) pairs, from 0.0; NonFinite names
+    `check` and the point of a NaN or infinite one, which `max` would drop."""
+    worst = 0.0
+    for res, pt in residuals:
+        if not math.isfinite(res):
+            raise NonFinite(f"{check} residual is {res} at the sample point "
+                            f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
+        worst = max(worst, res)
+    return worst
+
+
+def _residuals(params, f, points, g=None, variant=None):
+    """(scaled |{F, G}|, point) at each point, G = H unless given;
+    `variant` applies to F."""
+    if g is None:
+        g = integral(params.family, "H")
+    return zip(map(row_residual, _rows(params, f, points, variant),
+                   _rows(params, g, points), points), points)
 
 
 def bracket_residual_suite(params, sample, points=None, corrupt=None):
@@ -148,8 +158,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     """
     points = points if points is not None else _points(params, sample)
     if corrupt is not None and corrupt not in family_integrals(params.family):
-        raise UnknownIntegral(
-            f"{params.family} does not bind {corrupt!r}")
+        raise UnknownIntegral(f"{params.family} does not bind {corrupt!r}")
     out = {}
     for obs in family_observables(params.family):
         part = None
@@ -158,8 +167,8 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
             if part is None:
                 raise ValueError(
                     f"corruption of single-term integral {obs.name} is inert")
-        out[obs.name] = ResidualStats(
-            max(_residuals(params, obs.name, "H", points, part)))
+        out[obs.name] = _worst(f"bracket:{obs.name}", _residuals(
+            params, obs, points, variant=part))
     return out
 
 
@@ -175,43 +184,32 @@ def involution_check(params, pairs=None, sample=None, points=None):
     if pairs is None:
         names = [n for n in lookup(params.family).triple if n != "H"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    return {f"{a},{b}": max(_residuals(params, a, b, points))
-            for a, b in pairs}
-
-
-def _rank(rows):
-    if not 2 <= len(rows) <= 4:
-        raise ValueError("rank check takes 2 to 4 functions")
-    sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0, sv
-    return int(np.sum(sv > RANK_REL_THRESHOLD * sv[0])), sv
-
-
-def independence_rank(functions, params, point):
-    """Numerical rank of the stacked phase-gradients and the singular values.
-
-    Rank counts singular values above RANK_REL_THRESHOLD times the largest,
-    the relative cut that keeps integrals of very different magnitude
-    comparable.
-    """
-    return _rank([gradient(fn, params, point).as_tuple()
-                  for fn in functions])
+    fam = params.family
+    return {f"{a},{b}": _worst(f"involution:{a},{b}", _residuals(
+        params, integral(fam, a), points, integral(fam, b)))
+        for a, b in pairs}
 
 
 def independence_stats(params, sample, names=None, points=None):
-    """Fraction of sampled points where the claimed triple has full rank.
+    """Fraction of sampled points where the phase-gradients of 2 to 4
+    named functions (the claimed triple by default) have full rank.
 
-    Returns (fraction, failures); each failure carries the point and its
-    singular values for inspection.
+    Rank counts singular values above RANK_REL_THRESHOLD times the largest,
+    the relative cut that keeps integrals of very different magnitude
+    comparable.  Returns (fraction, failures); each failure carries the
+    point and its singular values for inspection.
     """
     points = points if points is not None else _points(params, sample)
     names = names or lookup(params.family).triple
+    if not 2 <= len(names) <= 4:
+        raise ValueError("rank check takes 2 to 4 functions")
     failures = []
     hits = 0
-    for pt, *rows in zip(points, *(_rows(params, n, points) for n in names)):
-        rank, sv = _rank([row[1:] for row in rows])
-        if rank == len(names):
+    for pt, *rows in zip(points, *(_rows(
+            params, integral(params.family, n), points) for n in names)):
+        sv = np.linalg.svd([row[1:] for row in rows], compute_uv=False)
+        if sv[0] != 0.0 and np.sum(
+                sv > RANK_REL_THRESHOLD * sv[0]) == len(names):
             hits += 1
         else:
             failures.append((pt, tuple(float(s) for s in sv)))
@@ -232,8 +230,8 @@ def killing_tensor_check(params, sample, points=None):
             f"{params.family} binds no quadratic integral")
     points = points if points is not None else _points(params, sample)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    return max([0.0] + [max(_residuals(zeroed, obs.name, "H", points))
-                        for obs in quadratics])
+    return _worst("killing_tensor", chain.from_iterable(
+        _residuals(zeroed, obs, points) for obs in quadratics))
 
 
 def _rel(lhs, rhs):
@@ -246,12 +244,10 @@ def identity_suite(params, sample, points=None):
     points = points if points is not None else _points(params, sample)
     identities = ((("kinetic_noether", kinetic_noether),)
                   + lookup(params.family).identities)
-    out = {}
-    for name, fn in identities:
-        out[name] = max(max(_rel(lhs, rhs)
-                            for lhs, rhs in fn(params, *pt.as_tuple()))
-                        for pt in points)
-    return out
+    return {name: _worst(f"identity:{name}", (
+        (_rel(lhs, rhs), pt) for pt in points
+        for lhs, rhs in fn(params, *pt.as_tuple())))
+        for name, fn in identities}
 
 
 def algebra_check(params, sample, points=None):
@@ -260,13 +256,12 @@ def algebra_check(params, sample, points=None):
     family); empty for families that carry none."""
     points = points if points is not None else _points(params, sample)
     out = {}
-    for name, name_a, name_b, rhs in lookup(params.family).algebra:
-        worst = 0.0
-        for pt, a, b in zip(points, _rows(params, name_a, points),
-                            _rows(params, name_b, points)):
-            res = abs(row_bracket(a, b) - rhs(params, *pt.as_tuple()))
-            worst = max(worst, res / bracket_scale(a[0], b[0], pt))
-        out[name] = worst
+    for name, a, b, rhs in lookup(params.family).algebra:
+        rows = zip(points, _rows(params, integral(params.family, a), points),
+                   _rows(params, integral(params.family, b), points))
+        out[name] = _worst(f"algebra:{name}", (
+            (abs(row_bracket(fa, fb) - rhs(params, *pt.as_tuple()))
+             / bracket_scale(fa[0], fb[0], pt), pt) for pt, fa, fb in rows))
     return out
 
 
@@ -281,30 +276,35 @@ def evolution_law_check(params, sample, points=None):
     """
     fam = lookup(params.family)
     points = points if points is not None else _points(params, sample)
-    h_rows = _rows(params, "H", points)
+    h_rows = _rows(params, integral(params.family, "H"), points)
     out = {}
-    for label, _, rate in fam.laws:
+    for label, (re, im), rate in fam.laws:
         # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re
-        worst = 0.0
-        for pt, h, zr, zi in zip(points, h_rows,
-                                 _rows(params, f"{label}.re", points),
-                                 _rows(params, f"{label}.im", points)):
+        res = []
+        for pt, h, zr, zi in zip(points, h_rows, _rows(params, re, points),
+                                 _rows(params, im, points)):
             c = rate(params, pt)
             scale = bracket_scale(math.hypot(zr[0], zi[0]), h[0], pt)
-            res_r = abs(row_bracket(zr, h) + c * zi[0])
-            res_i = abs(row_bracket(zi, h) - c * zr[0])
-            worst = max(worst, max(res_r, res_i) / scale)
-        out[f"{label}_law"] = worst
-
+            res += [(abs(row_bracket(zr, h) + c * zi[0]) / scale, pt),
+                    (abs(row_bracket(zi, h) - c * zr[0]) / scale, pt)]
+        out[f"{label}_law"] = _worst(f"evolution:{label}_law", res)
     if fam.conserved_product:
-        out["product_conserved"] = max(map(
-            max, _residuals(params, "product.re", "H", points),
-            _residuals(params, "product.im", "H", points)))
+        out["product_conserved"] = _worst(
+            "evolution:product_conserved", chain.from_iterable(
+                _residuals(params, part, points)
+                for part in fam.conserved_product))
     return out
 
 
 def _corruption_part(obs, params, probe_points):
-    """The part `corrupted` scales, or None when the integral is inert."""
+    """The part a +10% corruption of `obs` scales, or None when inert.
+
+    Preferably the couplings-zeroed momentum part; for integrals that are
+    pure momentum polynomials, the p_phi-free part (see
+    `observables.corruption_parts`).  A single-term integral admits no
+    symmetry-breaking corruption (scaling a conserved quantity keeps it
+    conserved), so None marks it inert.
+    """
     full = [obs(params, *pt.as_tuple()) for pt in probe_points]
     for name, part in corruption_parts(obs, params).items():
         sub = [part(params, *pt.as_tuple()) for pt in probe_points]
@@ -313,19 +313,6 @@ def _corruption_part(obs, params, probe_points):
         if nonzero > 1e-9 and differs > 1e-9:
             return name
     return None
-
-
-def corrupted(obs, params, probe_points):
-    """A +10% single-part corruption of an integral, or None when inert.
-
-    The corruption scales one group of same-coefficient terms by 1.1:
-    preferentially the couplings-zeroed momentum part; for integrals that
-    are pure momentum polynomials, the p_phi-free part.  A single-term
-    integral admits no symmetry-breaking corruption (scaling a conserved
-    quantity keeps it conserved), so None marks it inert.
-    """
-    part = _corruption_part(obs, params, probe_points)
-    return None if part is None else corruption(obs, params, part)
 
 
 def corruption_suite(params, sample, points=None):
@@ -339,8 +326,8 @@ def corruption_suite(params, sample, points=None):
         if part is None:
             inert.append(obs.name)
             continue
-        results[obs.name] = max(
-            _residuals(params, obs.name, "H", points, part))
+        res = _residuals(params, obs, points, variant=part)
+        results[obs.name] = _worst(f"negative_control:{obs.name}", res)
     return results, tuple(inert)
 
 
@@ -360,10 +347,11 @@ def certificate(params, sample=None, config=None, corrupt=None):
 
     Check failures turn the verdict, never raise; a check that cannot run
     for structural reasons is recorded as skipped with its reason.
-    Couplings so large that H, an integral or a check overflows raise
-    NonFinite before a verdict is drawn.  `corrupt` names one integral to
-    corrupt before the bracket suite, as a live demonstration that a
-    broken claim fails the certificate.
+    Couplings so large that H, an integral or a check overflows, or that
+    leave a residual NaN or infinite, raise NonFinite before a verdict is
+    drawn.  `corrupt` names one integral to corrupt before the bracket
+    suite, as a live demonstration that a broken claim fails the
+    certificate.
     """
     if params.n == 1.0:
         raise DegenerateN("n = 1 degenerate (k_n = 0): P2 = -Pphi")
@@ -383,10 +371,10 @@ def certificate(params, sample=None, config=None, corrupt=None):
 
 def _checks(params, sample, config, points, corrupt):
     suite = bracket_residual_suite(params, sample, points, corrupt=corrupt)
-    for name, stats in suite.items():
+    for name, res in suite.items():
         note = "+10% corruption applied" if name == corrupt else None
-        yield CheckResult(f"bracket:{name}", stats.max_residual, BRACKET_TOL,
-                          stats.max_residual <= BRACKET_TOL, note=note)
+        yield CheckResult(f"bracket:{name}", res, BRACKET_TOL,
+                          res <= BRACKET_TOL, note=note)
 
     fam = lookup(params.family)
     if fam.commuting:

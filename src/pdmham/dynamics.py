@@ -93,7 +93,7 @@ class Trajectory:
 
 def hamilton_vector_field(params, point):
     """(dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) = symplectic gradient of H."""
-    return vector_field(params)(point.as_tuple())
+    return vector_field(params)(*point.as_tuple())
 
 
 def _try_field(field, y):
@@ -101,7 +101,7 @@ def _try_field(field, y):
     # and so does a stage that drives r below 0: a non-integer power of it
     # is complex, which math rejects with TypeError
     try:
-        k = field(y)
+        k = field(*y)
         if (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
                 and isfinite(k[3])):
             return k

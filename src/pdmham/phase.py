@@ -144,27 +144,27 @@ def validate(point, params, phi_margin=POLE_MARGIN):
 def sample_points(params, box, count):
     """Draw `count` valid points, rejection sampling from a seeded generator.
 
-    Deterministic for a fixed box seed.  Raises EmptyDomain when the guards
-    reject an entire 10x-count budget of draws.
+    Deterministic for a fixed box seed.  Candidates (r, phi, p_r, p_phi)
+    are drawn a round of max(100, count) at a time, which gives the same
+    stream as one draw per coordinate.  Raises EmptyDomain when the guards
+    reject an entire budget of ten rounds.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(box.seed)
+    low = (box.r_min, box.phi_min, -box.p_max, -box.p_max)
+    high = (box.r_max, box.phi_max, box.p_max, box.p_max)
+    rounds, size = 10, max(100, count)
     points = []
-    budget = max(1000, 10 * count)
-    for _ in range(budget):
-        candidate = PhasePoint(
-            r=rng.uniform(box.r_min, box.r_max),
-            phi=rng.uniform(box.phi_min, box.phi_max),
-            p_r=rng.uniform(-box.p_max, box.p_max),
-            p_phi=rng.uniform(-box.p_max, box.p_max),
-        )
-        if validate(candidate, params, box.phi_margin).ok:
-            points.append(candidate)
-            if len(points) == count:
-                return points
+    for _ in range(rounds):
+        for draw in rng.uniform(low, high, size=(size, 4)).tolist():
+            candidate = PhasePoint(*draw)
+            if validate(candidate, params, box.phi_margin).ok:
+                points.append(candidate)
+                if len(points) == count:
+                    return points
     raise EmptyDomain(
-        f"{len(points)}/{count} valid points after {budget} draws")
+        f"{len(points)}/{count} valid points after {rounds * size} draws")
 
 
 def polar_to_cartesian(point):

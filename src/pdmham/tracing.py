@@ -14,8 +14,9 @@ dropped, so a term multiplied by a constant zero can no longer turn the
 result into a NaN or a complex number, or raise.  Repeated subexpressions
 are computed once.
 
-A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) feeds the sampled
-certificate checks.  F comes from the float trace of F, as in the monitor
+A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of a function the
+catalog holds feeds the sampled certificate checks, cached per (params,
+function, variant).  F comes from the float trace of F, as in the monitor
 row, because the value part of a dual can differ from the float path by
 an ulp; the partials come from the tangents of one seeded dual pass.
 
@@ -26,7 +27,6 @@ a traced value fails while tracing instead of compiling one branch.
 import functools
 import math
 
-from .catalog import lookup
 from .dual import seed, tangent
 from .families import hamiltonian
 from .observables import corruption, family_integrals, integral
@@ -124,12 +124,9 @@ class Sym:
     __hash__ = None
 
 
-def compile_traced(fn, unpack=False):
-    """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function.
-
-    The result takes the four coordinates as arguments, or as one sequence
-    when `unpack` is set, and returns the same tuple of floats.
-    """
+def compile_traced(fn):
+    """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function
+    of the same four coordinates that returns the same tuple of floats."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
@@ -138,12 +135,10 @@ def compile_traced(fn, unpack=False):
         if sym.name in live:
             body.append(f"    {sym.name} = {expr}")
             live.update(sym.operands)
-    coords = ", ".join(_COORDS)
-    head = ["def traced(y):", f"    {coords} = y"] if unpack else [
-        f"def traced({coords}):"]
+    head = f"def traced({', '.join(_COORDS)}):"
     ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
     namespace = dict(_GLOBALS)
-    exec("\n".join(head + body[::-1] + [ret]), namespace)
+    exec("\n".join([head] + body[::-1] + [ret]), namespace)
     return namespace["traced"]
 
 
@@ -154,8 +149,9 @@ def _field(params, r, phi, p_r, p_phi):
 
 @functools.lru_cache(maxsize=128)
 def vector_field(params):
-    """Compiled (dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) of H, called as f(y)."""
-    return compile_traced(functools.partial(_field, params), unpack=True)
+    """Compiled (dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) of H, called as
+    f(r, phi, p_r, p_phi)."""
+    return compile_traced(functools.partial(_field, params))
 
 
 @functools.lru_cache(maxsize=128)
@@ -168,33 +164,23 @@ def monitors(params):
         lambda *y: tuple(fn(params, *y) for fn in fns))
 
 
-def _named(family, name):
-    """H, T, a bound integral, or a part of a complex factor: `<law>.re` and
-    `<law>.im` for each evolution law, `product.re` and `product.im`."""
-    law, dot, part = name.partition(".")
-    if not dot:
-        return integral(family, name)
-    fam = lookup(family)
-    pairs = {label: pair for label, pair, _ in fam.laws}
-    pairs["product"] = fam.conserved_product
-    return pairs[law][("re", "im").index(part)]
-
-
 def _row(fn, params, r, phi, p_r, p_phi):
     dual = fn(params, *seed(r, phi, p_r, p_phi))
     return (fn(params, r, phi, p_r, p_phi),) + tuple(tangent(dual))
 
 
 @functools.lru_cache(maxsize=512)
-def gradient_row(params, name, variant=None):
+def gradient_row(params, fn, variant=None):
     """Compiled row(r, phi, p_r, p_phi) -> (F, dF/dr, dF/dphi, dF/dp_r,
-    dF/dp_phi) of the function `name` (see `_named`).
+    dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi).
 
-    `variant` names the part whose corruption replaces F (see
-    `observables.corruption`).  The Killing part of an integral is its plain
-    row at couplings zeroed.
+    `fn` is a function as the catalog holds it: an `Integral`, H or T
+    (`observables.integral`), a part of a complex factor in `laws` or
+    `conserved_product`; these live as long as the module, so the cache
+    hits.  `variant` names the part whose corruption replaces F (see
+    `observables.corruption`).  The Killing part of an integral is its
+    plain row at couplings zeroed.
     """
-    fn = _named(params.family, name)
     if variant is not None:
         fn = corruption(fn, params, variant)
     return compile_traced(functools.partial(_row, fn, params))

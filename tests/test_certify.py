@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from pdmham.certify import (CLAIMED_TRIPLES, SampleConfig, certificate,
-                            corrupted, corruption_suite, independence_rank,
-                            independence_stats, involution_check,
-                            killing_tensor_check)
-from pdmham.errors import DegenerateN, NoQuadraticIntegral, UnknownIntegral
-from pdmham.observables import integral
+from pdmham.certify import (CLAIMED_TRIPLES, RANK_REL_THRESHOLD,
+                            SampleConfig, bracket_residual_suite, certificate,
+                            corruption_suite, independence_stats,
+                            involution_check, killing_tensor_check)
+from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
+                           UnknownIntegral)
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 COUPLINGS = (1.0, 0.6, 0.35)
@@ -112,15 +112,15 @@ def test_involution_commuting_pair():
 def test_independence_rank_detects_degeneracy():
     params = ModelParams("nc", 2.0, *COUPLINGS)
     pt = PhasePoint(1.2, 0.9, 0.5, -0.4)
-    j2 = integral("nc", "J2")
-    h = integral("nc", "H")
-    rank, sv = independence_rank((j2, h), params, pt)
-    assert rank == 2 and len(sv) == 2
+    assert independence_stats(params, None, ("J2", "H"), [pt]) == (1.0, ())
     # a function listed twice can never add rank
-    rank_dup, _ = independence_rank((j2, j2), params, pt)
-    assert rank_dup == 1
+    fraction, failures = independence_stats(params, None, ("J2", "J2"), [pt])
+    assert fraction == 0.0
+    (where, sv), = failures
+    assert where == pt and len(sv) == 2
+    assert sv[0] > 0.0 and sv[1] <= RANK_REL_THRESHOLD * sv[0]
     with pytest.raises(ValueError):
-        independence_rank((j2,), params, pt)
+        independence_stats(params, None, ("J2",), [pt])
 
 
 def test_claimed_triples_independent():
@@ -145,8 +145,19 @@ def test_killing_tensor_quadratic_families():
 def test_corrupted_returns_none_for_single_term():
     params = ModelParams("na_central", 2.0, *COUPLINGS)
     pts = sample_points(params, DomainBox(seed=3), 8)
-    assert corrupted(integral("na_central", "J1"), params, pts) is None
-    assert corrupted(integral("na_central", "J11"), params, pts) is not None
+    results, inert = corruption_suite(params, None, pts)
+    assert "J1" in inert and "J1" not in results
+    assert "J11" in results and "J11" not in inert
+
+
+def test_non_finite_residual_raises_naming_check_and_point():
+    # at k0 = 1e308 H and the integrals stay finite at these four points,
+    # but the brackets overflow to NaN; `max` kept only the finite ones
+    params = ModelParams("nc", 2.0, 1e308)
+    points = sample_points(params, DomainBox(seed=0), 4)
+    with pytest.raises(NonFinite, match=r"bracket:J\d residual is nan at "
+                       r"the sample point \(r, phi, p_r, p_phi\) = \(1\."):
+        bracket_residual_suite(params, None, points)
 
 
 def test_corruption_suite_shape():

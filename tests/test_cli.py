@@ -245,12 +245,17 @@ def test_non_finite_residuals_are_strict_json(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--family", "nc", "--k0", "1e308"], "H is inf at the sample point"),
-    (["--family", "nd", "--k1", "1e160"], "a check overflows"),
+    (["--family", "nc", "--k0", "1e308", "--samples", "20"],
+     "H is inf at the sample point"),
+    (["--family", "nd", "--k1", "1e160", "--samples", "20"],
+     "a check overflows"),
+    # H stays finite at these four points while brackets with it are NaN
+    (["--family", "nc", "--k0", "1e308", "--samples", "4", "--seed", "0"],
+     "residual is nan at the sample point (r, phi, p_r, p_phi) = ("),
 ])
 def test_check_overflowing_coupling_is_usage_error(capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
-        run(["check", *flags, "--n", "2", "--samples", "20"])
+        run(["check", *flags, "--n", "2"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 

@@ -4,7 +4,7 @@
 trajectory with a termination tag, never raising mid-run.  `pdm` ends with
 exit code 0, 1, 2 or 3 and raises nothing else, whatever its `--config`
 file holds, and a failed verdict (1) never rests on a non-finite H or
-integral.
+integral; a certificate never rests on a non-finite residual.
 """
 
 import contextlib
@@ -12,7 +12,7 @@ import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pdmham.cli
@@ -64,15 +64,20 @@ def _require_finite_monitors(params, sample):
        couplings=st.tuples(*3 * [st.one_of(
            st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 1e160]))]),
        box_seed=st.integers(0, 3))
+# H is finite at these four points but brackets with it are NaN
+@example(family="nc", n=2.0, couplings=(1e308, 0.0, 0.0), box_seed=0)
 def test_certificate_refuses_overflow_or_rests_on_finite_values(
         family, n, couplings, box_seed):
     params = ModelParams(family, n, *couplings)
     sample = SampleConfig(count=4, box=DomainBox(seed=box_seed))
     try:
-        certificate(params, sample, IntegratorConfig(t_end=0.01))
+        cert = certificate(params, sample, IntegratorConfig(t_end=0.01))
     except PdmError:
         return
     _require_finite_monitors(params, sample)
+    for check in cert.checks:
+        assert check.passed is None or math.isfinite(check.max_residual), (
+            check)
 
 
 # each flag's (valid, hostile) values

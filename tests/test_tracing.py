@@ -31,7 +31,7 @@ def test_traced_field_equals_dual_field(family, n):
     field = vector_field(params)
     for y in _points(params):
         t = tangent(hamiltonian(params, *seed(*y)))
-        assert field(y) == (t[2], t[3], -t[0], -t[1])
+        assert field(*y) == (t[2], t[3], -t[0], -t[1])
 
 
 @pytest.mark.parametrize("family,n", CASES)
@@ -49,7 +49,7 @@ def test_numpy_scalar_couplings_trace_to_float_literals():
     field = vector_field.__wrapped__(params)    # bypass the shared cache
     for y in _points(params):
         t = tangent(hamiltonian(params, *seed(*y)))
-        assert field(y) == (t[2], t[3], -t[0], -t[1])
+        assert field(*y) == (t[2], t[3], -t[0], -t[1])
 
 
 @pytest.mark.parametrize("branching", [
@@ -63,24 +63,22 @@ def test_branching_on_a_traced_value_fails_at_trace_time(branching):
 
 
 def _row_functions(params):
-    """(row params, name, variant, function) for every gradient row the
+    """(row params, function, variant, oracle) for every gradient row the
     certificate brackets: H, T and each bound integral, both corrupted
     variants of each, the Killing parts (couplings zeroed) and the parts
     of each complex factor."""
     fam = CATALOG[params.family]
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    plain = ("H", "T") + fam.integrals
-    out = [(params, name, None, integral(params.family, name))
-           for name in plain]
-    out += [(params, obs.name, part, corruption(obs, params, part))
+    plain = [integral(params.family, name)
+             for name in ("H", "T") + fam.integrals]
+    out = [(params, fn, None, fn) for fn in plain]
+    out += [(params, obs, part, corruption(obs, params, part))
             for obs in fam.bound for part in ("momentum", "radial")]
-    out += [(zeroed, name, None, integral(params.family, name))
-            for name in plain]
-    factors = [(label, pair) for label, pair, _ in fam.laws]
+    out += [(zeroed, fn, None, fn) for fn in plain]
+    factors = [pair for _, pair, _ in fam.laws]
     if fam.conserved_product:
-        factors.append(("product", fam.conserved_product))
-    out += [(params, f"{label}.{part}", None, fn) for label, pair in factors
-            for part, fn in zip(("re", "im"), pair)]
+        factors.append(fam.conserved_product)
+    out += [(params, fn, None, fn) for pair in factors for fn in pair]
     return out
 
 
@@ -91,9 +89,9 @@ def test_row_brackets_equal_dual_brackets(family, n):
     functions = _row_functions(params)
     points = [pt for box_seed in (3, 4)
               for pt in sample_points(params, DomainBox(seed=box_seed), 20)]
-    for row_params, name, variant, fn in functions:
-        row = gradient_row(row_params, name, variant)
-        h_row = gradient_row(row_params, "H")
+    for row_params, key, variant, fn in functions:
+        row = gradient_row(row_params, key, variant)
+        h_row = gradient_row(row_params, integral(family, "H"))
         for pt in points:
             y = pt.as_tuple()
             f, h = row(*y), h_row(*y)
@@ -104,12 +102,12 @@ def test_row_brackets_equal_dual_brackets(family, n):
             assert row_residual(f, h, pt) == scaled_residual(
                 fn, hamiltonian, row_params, pt)
     # the pairs of involution and algebra checks
-    plain = [(name, fn) for row_params, name, variant, fn in functions
+    plain = [fn for row_params, _, variant, fn in functions
              if row_params is params and variant is None]
-    for i, (name_a, fn_a) in enumerate(plain):
-        for name_b, fn_b in plain[i + 1:]:
-            row_a = gradient_row(params, name_a)
-            row_b = gradient_row(params, name_b)
+    for i, fn_a in enumerate(plain):
+        for fn_b in plain[i + 1:]:
+            row_a = gradient_row(params, fn_a)
+            row_b = gradient_row(params, fn_b)
             for pt in points:
                 a, b = row_a(*pt.as_tuple()), row_b(*pt.as_tuple())
                 assert row_residual(a, b, pt) == scaled_residual(
