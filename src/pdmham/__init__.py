@@ -17,12 +17,13 @@ from .dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
                        final_state_distance, fixed_step_config,
                        hamilton_vector_field, integrate, time_reversal_defect)
 from .errors import PdmError
-from .families import (CATALOG, euclid_equivalence_residual,
-                       euclidean_potential, hamiltonian, kinetic, potential)
+from .catalog import CATALOG
+from .families import (euclidean_potential, flat_twin, hamiltonian, kinetic,
+                       potential, twin_box)
 from .geometry import (curvature_R1212, killing_vector, lie_derivative_metric,
                        metric, noether_momentum)
 from .observables import (complex_a, complex_m, complex_n, family_integrals,
-                          family_observables, integral, lambda_factor)
+                          integral, lambda_factor)
 from .phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
                     polar_to_cartesian, sample_points, validate)
 
@@ -34,12 +35,12 @@ __all__ = [
     "ModelParams", "PdmError", "PhasePoint", "SINGULARITY", "STEP_FAILURE",
     "SampleConfig", "Trajectory", "bracket_residual_suite", "certificate",
     "complex_a", "complex_m", "complex_n", "curvature_R1212", "drift_report",
-    "euclid_equivalence_residual", "euclidean_potential", "family_integrals",
-    "family_observables", "final_state_distance", "fixed_step_config",
-    "gradient", "gradient_fd", "hamilton_vector_field", "hamiltonian",
-    "integral", "integrate", "involution_check", "killing_tensor_check",
-    "killing_vector", "kinetic", "lambda_factor", "lie_derivative_metric",
-    "metric", "noether_momentum", "poisson_bracket", "poisson_bracket_fd",
-    "polar_to_cartesian", "potential", "sample_points", "scaled_residual",
-    "time_reversal_defect", "validate",
+    "euclidean_potential", "family_integrals", "final_state_distance",
+    "fixed_step_config", "flat_twin", "gradient", "gradient_fd",
+    "hamilton_vector_field", "hamiltonian", "integral", "integrate",
+    "involution_check", "killing_tensor_check", "killing_vector", "kinetic",
+    "lambda_factor", "lie_derivative_metric", "metric", "noether_momentum",
+    "poisson_bracket", "poisson_bracket_fd", "polar_to_cartesian", "potential",
+    "sample_points", "scaled_residual", "time_reversal_defect", "twin_box",
+    "validate",
 ]

@@ -26,18 +26,14 @@ from itertools import chain
 import numpy as np
 
 from .brackets import BRACKET_TOL, bracket_scale, row_bracket, row_residual
-from .catalog import CATALOG, lookup
+from .catalog import lookup
 from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
 from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
                      NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
-from .observables import (corruption_parts, family_integrals,
-                          family_observables, integral)
+from .observables import corruption_parts, family_integrals, integral
 from .phase import DomainBox, sample_points
 from .tracing import gradient_row, monitors
-
-# paired integrals whose mutual independence carries each family's claim
-CLAIMED_TRIPLES = {name: fam.triple for name, fam in CATALOG.items()}
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -160,7 +156,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     if corrupt is not None and corrupt not in family_integrals(params.family):
         raise UnknownIntegral(f"{params.family} does not bind {corrupt!r}")
     out = {}
-    for obs in family_observables(params.family):
+    for obs in lookup(params.family).bound:
         part = None
         if obs.name == corrupt:
             part = _corruption_part(obs, params, points[:8])
@@ -223,7 +219,7 @@ def killing_tensor_check(params, sample, points=None):
     quadratic momentum form whose symmetric tensor must satisfy the
     Killing condition against the kinetic flow.
     """
-    quadratics = [obs for obs in family_observables(params.family)
+    quadratics = [obs for obs in lookup(params.family).bound
                   if obs.degree == 2]
     if not quadratics:
         raise NoQuadraticIntegral(
@@ -238,16 +234,22 @@ def _rel(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+def identity_residual(params, name, fn, points):
+    """Worst gap of `fn`'s (lhs, rhs) pairs, each relative to max(1, |LHS|,
+    |RHS|); `name` labels the check."""
+    return _worst(f"identity:{name}", (
+        (_rel(lhs, rhs), pt) for pt in points
+        for lhs, rhs in fn(params, *pt.as_tuple())))
+
+
 def identity_suite(params, sample, points=None):
-    """Structural identities, pointwise, relative to max(1, |LHS|, |RHS|):
-    the kinetic-Noether identity for every family, then the family's own."""
+    """Structural identities (see `identity_residual`): the kinetic-Noether
+    identity for every family, then the family's own."""
     points = points if points is not None else _points(params, sample)
     identities = ((("kinetic_noether", kinetic_noether),)
                   + lookup(params.family).identities)
-    return {name: _worst(f"identity:{name}", (
-        (_rel(lhs, rhs), pt) for pt in points
-        for lhs, rhs in fn(params, *pt.as_tuple())))
-        for name, fn in identities}
+    return {name: identity_residual(params, name, fn, points)
+            for name, fn in identities}
 
 
 def algebra_check(params, sample, points=None):
@@ -321,7 +323,7 @@ def corruption_suite(params, sample, points=None):
     points = points if points is not None else _points(params, sample)
     results = {}
     inert = []
-    for obs in family_observables(params.family):
+    for obs in lookup(params.family).bound:
         part = _corruption_part(obs, params, points[:8])
         if part is None:
             inert.append(obs.name)

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: `list` (catalog), `check` (certificate JSON), `integrate`
-(trajectory CSV plus a drift summary), `xcheck` (flat-plane potential
-equivalence at n = 0).
+(trajectory CSV plus a drift summary), `xcheck` (the n = 0 flat-plane
+twin, reduced as a certificate identity: the worst gap relative to
+max(1, |U|, |V|) against IDENTITY_TOL, exit 2 where a gap is not finite).
 
 Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
 invalid parameters, 3 integration aborted early (partial CSV still
@@ -14,15 +15,14 @@ values.  PDM_SEED provides the seed default.
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .catalog import CATALOG
-from .certify import SampleConfig, certificate
+from .certify import IDENTITY_TOL, SampleConfig, certificate, identity_residual
 from .dynamics import COMPLETED, IntegratorConfig, drift_report, integrate
 from .errors import EmptyTrajectory, PdmError
-from .families import euclid_equivalence_residual
+from .families import flat_twin, twin_box
 from .phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 EXIT_PASS = 0
@@ -32,8 +32,6 @@ EXIT_ABORT = 3
 # n = 0 reduction targets for the four flat-plane reference tags
 XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
                    if fam.reduction}
-XCHECK_TOL = 1e-12
-XCHECK_MARGIN = 0.05
 
 
 def _seed(args, parser):
@@ -129,23 +127,15 @@ def cmd_xcheck(args, parser):
     if which not in XCHECK_FAMILIES:
         parser.error(f"unknown tag {which!r} (choose from a, b, c, d)")
     params = _params(XCHECK_FAMILIES[which], 0.0, args, parser)
-    seed = _seed(args, parser)
-    # the family-side pole margins coincide with the cartesian walls at
-    # n = 0 (u = -phi); the d twin additionally needs the upper half plane
-    if CATALOG[params.family].reduction.upper_half:
-        box = DomainBox(phi_min=XCHECK_MARGIN, phi_max=math.pi - XCHECK_MARGIN,
-                        phi_margin=XCHECK_MARGIN, seed=seed)
-    else:
-        box = DomainBox(phi_margin=XCHECK_MARGIN, seed=seed)
+    box = twin_box(params, _seed(args, parser))
     try:
         points = sample_points(params, box, args.samples)
-        residual = max(euclid_equivalence_residual(params, pt)
-                       for pt in points)
+        residual = identity_residual(params, "flat_twin", flat_twin, points)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
-    ok = residual <= XCHECK_TOL
+    ok = residual <= IDENTITY_TOL
     print(f"tag {which}: {params.family} at n=0 vs flat-plane reference, "
-          f"max |U - V| = {residual:.3e} over {len(points)} points "
+          f"max relative |U - V| = {residual:.3e} over {len(points)} points "
           f"[{'pass' if ok else 'FAIL'}]")
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -1,5 +1,5 @@
-"""Hamiltonians of the family table and the flat-plane potentials the
-families reduce to at n = 0.
+"""Hamiltonians of the family table, and the flat-plane twins the families
+reduce to at n = 0.
 
 `potential` and `hamiltonian` evaluate over generic scalars (floats or
 duals), so the bracket engine can differentiate them without per-family
@@ -8,10 +8,10 @@ derivative code.
 
 import math
 
-from .catalog import CATALOG, lookup
+from .catalog import lookup
 from .errors import CartesianSingularity, NonZeroN, UnknownFamily
 from .formulas import kinetic
-from .phase import polar_to_cartesian
+from .phase import DomainBox
 
 
 def potential(params, r, phi):
@@ -52,23 +52,27 @@ def euclidean_potential(tag, couplings, x, y):
     raise ValueError(f"unknown Euclidean tag {tag!r}")
 
 
-def euclid_equivalence_map(family):
-    """(tag, mapped couplings factory) for families with an n = 0 twin."""
-    reduction = CATALOG[family].reduction if family in CATALOG else None
+def _reduction(params):
+    reduction = lookup(params.family).reduction
     if reduction is None:
-        raise UnknownFamily(f"{family} has no flat-plane reduction map")
-    return reduction.tag, reduction.couplings
+        raise UnknownFamily(f"{params.family} has no flat-plane reduction map")
+    return reduction
 
 
-def euclid_equivalence_residual(params, point):
-    """|U_family(n=0) - V_tag| at one point under the documented map.
-
-    Only meaningful at n = 0; the d comparison additionally needs y > 0.
-    """
+def flat_twin(params, r, phi, p_r, p_phi):
+    """((U_family, V_tag),) at n = 0 under the catalog's couplings map: an
+    identity for `certify.identity_residual`, sampled on `twin_box`."""
     if params.n != 0.0:
         raise NonZeroN(f"n = {params.n}, reduction defined at n = 0")
-    tag, mapper = euclid_equivalence_map(params.family)
-    cart = polar_to_cartesian(point)
-    u_val = potential(params, point.r, point.phi)
-    v_val = euclidean_potential(tag, mapper(params), cart.x, cart.y)
-    return abs(u_val - v_val)
+    red = _reduction(params)
+    x, y = r * math.cos(phi), r * math.sin(phi)
+    return ((potential(params, r, phi),
+             euclidean_potential(red.tag, red.couplings(params), x, y)),)
+
+
+def twin_box(params, seed):
+    """The twin's DomainBox: 0.05 off every pole (at n = 0 the family's
+    poles are the cartesian walls), and y > 0 where the match needs it."""
+    turns = 1.0 if _reduction(params).upper_half else 2.0
+    return DomainBox(phi_min=0.05, phi_max=turns * math.pi - 0.05,
+                     phi_margin=0.05, seed=seed)

@@ -42,10 +42,6 @@ def integral(family, name):
     raise UnknownIntegral(f"{family} does not bind {name!r}")
 
 
-def family_observables(family):
-    return lookup(family).bound
-
-
 CORRUPTION_FACTOR = 0.1
 
 

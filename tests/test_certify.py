@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from pdmham.certify import (CLAIMED_TRIPLES, RANK_REL_THRESHOLD,
-                            SampleConfig, bracket_residual_suite, certificate,
+from pdmham.catalog import CATALOG
+from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig,
+                            bracket_residual_suite, certificate,
                             corruption_suite, independence_stats,
                             involution_check, killing_tensor_check)
 from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
@@ -24,7 +25,7 @@ def nd_cert():
     return certificate(ModelParams("nd", 3.0, *COUPLINGS), _sample())
 
 
-@pytest.mark.parametrize("family", sorted(CLAIMED_TRIPLES))
+@pytest.mark.parametrize("family", sorted(CATALOG))
 def test_certificates_pass(family):
     params = ModelParams(family, 3.0, *COUPLINGS)
     cert = certificate(params, _sample())

@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import pytest
 
 import pdmham
+from pdmham.catalog import CATALOG
 from pdmham.certify import Certificate, CheckResult
 from pdmham.cli import main
 from pdmham.phase import ModelParams
@@ -126,6 +129,45 @@ def test_xcheck_unknown_tag():
     with pytest.raises(SystemExit) as exc:
         run(["xcheck", "--which", "q"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--which", "a", "--k1", "10"],
+    ["--which", "c", "--k1", "100"],
+    ["--which", "a", "--k0", "1e200", "--k1", "1e200", "--samples", "50"],
+])
+def test_xcheck_gap_is_relative_to_the_terms(flags, capsys):
+    # correct code whose absolute gap |U - V| is roundoff of large terms
+    assert run(["xcheck", *flags]) == 0
+    assert "max relative |U - V|" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coupling", ["--k0", "--k2"])
+def test_xcheck_overflowing_coupling_is_usage_error(coupling, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["xcheck", "--which", "a", coupling, "1e308"])
+    assert exc.value.code == 2
+    assert "at the sample point (r, phi, p_r, p_phi) = (" in \
+        capsys.readouterr().err
+
+
+# couplings maps that each break one term of the catalog's reduction
+WRONG_MAPS = {
+    "na": lambda p: (p.k0, p.k1, p.k2),                 # without the 2
+    "nb": lambda p: (2.0 * p.k0, p.k1, p.k2),           # k2 not flipped
+    "nd": lambda p: (p.k0, p.k1 / math.sqrt(2.0),       # k2 not flipped
+                     p.k2 / math.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WRONG_MAPS))
+def test_xcheck_fails_a_wrong_couplings_map(family, monkeypatch, capsys):
+    fam = CATALOG[family]
+    monkeypatch.setitem(CATALOG, family, replace(fam, reduction=replace(
+        fam.reduction, couplings=WRONG_MAPS[family])))
+    tag = fam.reduction.tag
+    assert run(["xcheck", "--which", tag, "--samples", "200"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_config_file_supplies_flags(tmp_path):

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
+from pdmham.catalog import CATALOG
 from pdmham.errors import (CartesianSingularity, NonZeroN, UnknownFamily)
-from pdmham.families import (CATALOG, euclid_equivalence_map,
-                             euclid_equivalence_residual, euclidean_potential,
-                             hamiltonian, kinetic, potential)
+from pdmham.families import (euclidean_potential, flat_twin, hamiltonian,
+                             kinetic, potential, twin_box)
 from pdmham.observables import family_integrals
-from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                          sample_points)
+from pdmham.phase import FAMILIES, DomainBox, ModelParams, sample_points
 
 
 def test_kinetic_anchor():
@@ -122,34 +121,34 @@ def test_d_map_half_angle_anchor():
     params = ModelParams("nd", 0.0, 0.8, 0.5, 0.3)
     want = 0.8 + (0.5 - 0.3) / math.sqrt(2.0)
     assert potential(params, 1.0, math.pi / 2.0) == pytest.approx(want)
-    assert euclid_equivalence_residual(
-        params, PhasePoint(1.0, math.pi / 2.0, 0.0, 0.0)) <= 1e-15
+    ((u_val, v_val),) = flat_twin(params, 1.0, math.pi / 2.0, 0.0, 0.0)
+    assert abs(u_val - v_val) <= 1e-15
 
 
 @pytest.mark.parametrize("family,tag", [
     ("na", "a"), ("nb", "b"), ("nc1", "c"), ("nd", "d"),
 ])
 def test_flat_plane_twins(family, tag):
-    got_tag, mapper = euclid_equivalence_map(family)
-    assert got_tag == tag
+    reduction = CATALOG[family].reduction
+    assert reduction.tag == tag
     params = ModelParams(family, 0.0, 1.0, 0.7, 0.4)
-    assert len(mapper(params)) == 3
-    if family == "nd":
-        box = DomainBox(phi_min=0.05, phi_max=math.pi - 0.05,
-                        phi_margin=0.05, seed=3)
-    else:
-        box = DomainBox(phi_margin=0.05, seed=3)
-    worst = max(euclid_equivalence_residual(params, pt)
-                for pt in sample_points(params, box, 100))
+    assert len(reduction.couplings(params)) == 3
+    # the absolute gap, at these fixed couplings
+    worst = max(abs(u_val - v_val)
+                for pt in sample_points(params, twin_box(params, 3), 100)
+                for u_val, v_val in flat_twin(params, *pt.as_tuple()))
     assert worst <= 1e-12
 
 
 def test_equivalence_requires_n_zero():
     params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
     with pytest.raises(NonZeroN):
-        euclid_equivalence_residual(params, PhasePoint(1.0, 0.7, 0.0, 0.0))
+        flat_twin(params, 1.0, 0.7, 0.0, 0.0)
 
 
 def test_equivalence_map_unknown_family():
+    params = ModelParams("nc", 0.0, 1.0, 0.5, 0.2)
     with pytest.raises(UnknownFamily):
-        euclid_equivalence_map("nc")
+        flat_twin(params, 1.0, 0.7, 0.0, 0.0)
+    with pytest.raises(UnknownFamily):
+        twin_box(params, 0)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmham.catalog import lookup
 from pdmham.errors import UnknownFamily, UnknownIntegral
 from pdmham.families import kinetic
 from pdmham.observables import (a_components, complex_a, complex_m, complex_n,
-                                family_integrals, family_observables,
-                                integral, lambda_factor, m_components,
-                                n_components, variant_jd2, variant_jd3)
+                                family_integrals, integral, lambda_factor,
+                                m_components, n_components, variant_jd2,
+                                variant_jd3)
 from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
                           sample_points)
 
@@ -137,7 +138,7 @@ def test_momentum_scaling_of_killing_parts(family):
     """Couplings-zeroed integrals are homogeneous of their momentum degree."""
     params = ModelParams(family, 2.0, 0.0, 0.0, 0.0)
     pts = sample_points(params, DomainBox(seed=5), 10)
-    for obs in family_observables(family):
+    for obs in lookup(family).bound:
         if not obs.has_kpart:
             continue
         for pt in pts:
