@@ -22,10 +22,9 @@ from .families import (euclidean_potential, flat_twin, hamiltonian, kinetic,
                        potential, twin_box)
 from .geometry import (curvature_R1212, killing_vector, lie_derivative_metric,
                        metric, noether_momentum)
-from .observables import (complex_a, complex_m, complex_n, family_integrals,
-                          integral, lambda_factor)
+from .observables import family_integrals, integral
 from .phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                    polar_to_cartesian, sample_points, validate)
+                    polar_to_cartesian, sample_points)
 
 __version__ = "0.1.0"
 
@@ -34,13 +33,12 @@ __all__ = [
     "DomainBox", "DriftReport", "Dual", "FAMILIES", "IntegratorConfig",
     "ModelParams", "PdmError", "PhasePoint", "SINGULARITY", "STEP_FAILURE",
     "SampleConfig", "Trajectory", "bracket_residual_suite", "certificate",
-    "complex_a", "complex_m", "complex_n", "curvature_R1212", "drift_report",
-    "euclidean_potential", "family_integrals", "final_state_distance",
-    "fixed_step_config", "flat_twin", "gradient", "gradient_fd",
-    "hamilton_vector_field", "hamiltonian", "integral", "integrate",
-    "involution_check", "killing_tensor_check", "killing_vector", "kinetic",
-    "lambda_factor", "lie_derivative_metric", "metric", "noether_momentum",
-    "poisson_bracket", "poisson_bracket_fd", "polar_to_cartesian", "potential",
-    "sample_points", "scaled_residual", "time_reversal_defect", "twin_box",
-    "validate",
+    "curvature_R1212", "drift_report", "euclidean_potential",
+    "family_integrals", "final_state_distance", "fixed_step_config",
+    "flat_twin", "gradient", "gradient_fd", "hamilton_vector_field",
+    "hamiltonian", "integral", "integrate", "involution_check",
+    "killing_tensor_check", "killing_vector", "kinetic",
+    "lie_derivative_metric", "metric", "noether_momentum", "poisson_bracket",
+    "poisson_bracket_fd", "polar_to_cartesian", "potential", "sample_points",
+    "scaled_residual", "time_reversal_defect", "twin_box",
 ]

@@ -56,13 +56,6 @@ def poisson_bracket(F, G, params, point):
     return bracket_value(F, G, params, *point.as_tuple())
 
 
-def bracket_observable(F, G):
-    """The bracket {F, G} packaged as an Observable-shaped callable."""
-    def fn(params, r, phi, p_r, p_phi):
-        return bracket_value(F, G, params, r, phi, p_r, p_phi)
-    return fn
-
-
 def _fd_steps(point, h):
     coords = point.as_tuple()
     if h is None:

@@ -19,15 +19,12 @@ from .errors import UnknownFamily
 class Integral:
     """A named scalar phase-space function evaluable over generic scalars.
 
-    degree is the momentum degree of the function's momentum part;
-    has_kpart marks integrals whose couplings-zeroed reduction is a
-    nonvanishing homogeneous momentum polynomial (the Killing-tensor part).
+    degree is the momentum degree of the function's momentum part.
     """
 
     name: str
     fn: object
     degree: int = 2
-    has_kpart: bool = True
 
     def __call__(self, params, r, phi, p_r, p_phi):
         return self.fn(params, r, phi, p_r, p_phi)
@@ -79,8 +76,19 @@ class Family:
         return tuple(obs.name for obs in self.bound)
 
 
-def _s61_rate(params, point):
-    return 2.0 * f.lambda_factor("s61", params.n, point)
+# Evolution-law rates: na_prime's M and N turn at 2 (n-1) r^{2(n-1)} p_phi
+# (lambda of the s61 convention, (n-1) inside), nd's A and N at -/+ (n-1)
+# times r^{2(n-1)} p_phi (lambda of the s62 convention, (n-1) outside).
+def _doubled_rate(p, pt):
+    return 2.0 * ((p.n - 1.0) * pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
+
+
+def _a_rate(p, pt):
+    return -(p.n - 1.0) * (pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
+
+
+def _single_rate(p, pt):
+    return (p.n - 1.0) * (pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
 
 
 # The reduction maps: the b-map flips the sign of k2 and the d-map rescales
@@ -112,7 +120,7 @@ _FAMILIES = (
         "na_prime", "complex factorization",
         "U = k0/r^{2k} + (k1 cos(u) + k2 sin(u))/r^k", f.u_na_prime,
         (Integral("Ja1p", f.ja1p), Integral("Ja2p", f.ja2p),
-         Integral("Ja3p", f.ja3p, 1, False), Integral("J2", f.j2_osc),
+         Integral("Ja3p", f.ja3p, 1), Integral("J2", f.j2_osc),
          Integral("J3", f.j3_osc)),
         triple=("Ja3p", "J2", "J3"),
         identities=(("sum_rule_h", f.prime_sum_rule),
@@ -120,8 +128,8 @@ _FAMILIES = (
                     ("n_unit_modulus", f.n_unit_modulus)),
         algebra=(("bracket_j2", "Ja3p", "J2", f.ja3p_j2_bracket),
                  ("bracket_j3", "Ja3p", "J3", f.ja3p_j3_bracket)),
-        laws=(("m", f.m_components, _s61_rate),
-              ("n", f.n_double, _s61_rate))),
+        laws=(("m", f.m_components, _doubled_rate),
+              ("n", f.n_double, _doubled_rate))),
     Family(
         "nb", "oscillator type",
         "U = (k0/r^{2k})(cos^2(u) + 4 sin^2(u)) + k1 r^{2k} sec^2(u)"
@@ -159,10 +167,8 @@ _FAMILIES = (
                             -p.k2 / math.sqrt(2.0)), upper_half=True),
         identities=(("an_reconstruct", f.an_reconstruct),
                     ("a_modulus", f.a_modulus)),
-        laws=(("a", f.a_components,
-               lambda p, pt: -(p.n - 1.0) * f.lambda_factor("s62", p.n, pt)),
-              ("n", f.n_single,
-               lambda p, pt: (p.n - 1.0) * f.lambda_factor("s62", p.n, pt))),
+        laws=(("a", f.a_components, _a_rate),
+              ("n", f.n_single, _single_rate)),
         conserved_product=(f.an_re, f.an_im)),
 )
 

@@ -230,16 +230,17 @@ def killing_tensor_check(params, sample, points=None):
         _residuals(zeroed, obs, points) for obs in quadratics))
 
 
-def _rel(lhs, rhs):
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _rel(lhs, rhs, terms=0.0):
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), terms)
 
 
 def identity_residual(params, name, fn, points):
     """Worst gap of `fn`'s (lhs, rhs) pairs, each relative to max(1, |LHS|,
-    |RHS|); `name` labels the check."""
+    |RHS|), or also to a third entry, the size of the terms, where a pair
+    carries one; `name` labels the check."""
     return _worst(f"identity:{name}", (
-        (_rel(lhs, rhs), pt) for pt in points
-        for lhs, rhs in fn(params, *pt.as_tuple())))
+        (_rel(*pair), pt) for pt in points
+        for pair in fn(params, *pt.as_tuple())))
 
 
 def identity_suite(params, sample, points=None):

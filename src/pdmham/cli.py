@@ -3,7 +3,8 @@
 Subcommands: `list` (catalog), `check` (certificate JSON), `integrate`
 (trajectory CSV plus a drift summary), `xcheck` (the n = 0 flat-plane
 twin, reduced as a certificate identity: the worst gap relative to
-max(1, |U|, |V|) against IDENTITY_TOL, exit 2 where a gap is not finite).
+max(1, sum |U_i|, sum |V_i|) over the potentials' single-coupling terms,
+against IDENTITY_TOL, exit 2 where a gap is not finite).
 
 Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
 invalid parameters, 3 integration aborted early (partial CSV still

@@ -11,7 +11,7 @@ accepted steps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import isfinite
 
 import numpy as np
@@ -58,6 +58,8 @@ class IntegratorConfig:
     h_max: float = 1.0
 
     def __post_init__(self):
+        if not all(map(isfinite, astuple(self))):
+            raise ValueError("integrator settings must be finite")
         if not (0.0 < self.h_min <= self.h_init <= self.h_max):
             raise ValueError("need 0 < h_min <= h_init <= h_max")
         if self.rtol <= 0.0 or self.atol <= 0.0 or self.t_end <= 0.0:
@@ -245,17 +247,12 @@ class DriftReport:
         return max((d.rel_drift for d in self.drifts), default=0.0)
 
 
-def drift_report(trajectory, tolerance=DRIFT_TOL, names=None):
-    """Per-monitor drift relative to max(1, |initial value|).
-
-    `names` restricts the report to a subset of the recorded monitors.
-    """
+def drift_report(trajectory, tolerance=DRIFT_TOL):
+    """Per-monitor drift relative to max(1, |initial value|)."""
     if len(trajectory) < 2:
         raise EmptyTrajectory(f"{len(trajectory)} recorded state(s)")
     drifts = []
     for name, series in trajectory.monitors.items():
-        if names is not None and name not in names:
-            continue
         j0 = series[0]
         max_abs = float(np.max(np.abs(series - j0)))
         rel = max_abs / max(1.0, abs(j0))

@@ -7,6 +7,7 @@ derivative code.
 """
 
 import math
+from dataclasses import replace
 
 from .catalog import lookup
 from .errors import CartesianSingularity, NonZeroN, UnknownFamily
@@ -60,14 +61,24 @@ def _reduction(params):
 
 
 def flat_twin(params, r, phi, p_r, p_phi):
-    """((U_family, V_tag),) at n = 0 under the catalog's couplings map: an
-    identity for `certify.identity_residual`, sampled on `twin_box`."""
+    """((U_family, V_tag, terms),) at n = 0 under the catalog's couplings
+    map: an identity for `certify.identity_residual`, sampled on `twin_box`.
+    Both potentials are linear in (k0, k1, k2), so `terms`, the larger of
+    sum |U_i| and sum |V_i| with only k_i set, sizes the roundoff in U - V
+    that terms of opposite sign leave however small U is."""
     if params.n != 0.0:
         raise NonZeroN(f"n = {params.n}, reduction defined at n = 0")
     red = _reduction(params)
     x, y = r * math.cos(phi), r * math.sin(phi)
-    return ((potential(params, r, phi),
-             euclidean_potential(red.tag, red.couplings(params), x, y)),)
+
+    def pair(p):
+        return (potential(p, r, phi),
+                euclidean_potential(red.tag, red.couplings(p), x, y))
+
+    parts = [pair(replace(params, k0=k0, k1=k1, k2=k2)) for k0, k1, k2 in (
+        (params.k0, 0.0, 0.0), (0.0, params.k1, 0.0), (0.0, 0.0, params.k2))]
+    terms = max(sum(abs(u) for u, _ in parts), sum(abs(v) for _, v in parts))
+    return (pair(params) + (terms,),)
 
 
 def twin_box(params, seed):

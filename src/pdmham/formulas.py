@@ -322,20 +322,6 @@ n_double = _unit_factor(2.0)
 n_single = _unit_factor(1.0)
 
 
-def lambda_factor(section, n, point):
-    """The angular-rate factor in the evolution laws.
-
-    Two conventions coexist: "s61" carries the (n-1) factor inside
-    (lambda = (n-1) r^{2k_n} p_phi), "s62" leaves it outside
-    (lambda = r^{2(n-1)} p_phi); the two agree up to that factor.
-    """
-    if section == "s61":
-        return (n - 1.0) * point.r ** (2.0 * (n - 1.0)) * point.p_phi
-    if section == "s62":
-        return point.r ** (2.0 * (n - 1.0)) * point.p_phi
-    raise ValueError(f"unknown lambda convention {section!r}")
-
-
 def an_re(params, r, phi, p_r, p_phi):
     return (a1_component(params, r, phi, p_r, p_phi)
             * n_single[0](params, r, phi, p_r, p_phi)

@@ -1,21 +1,18 @@
-"""Lookup of the integrals bound to each family, plus the complex factor
-functions whose evolution laws and modulus identities the certifier
-verifies, and the corrupted variants of the negative control.
+"""Lookup of the integrals bound to each family, and the corrupted
+variants of the negative control.
 
 Names are unique per family, not globally: nc and na_prime both bind a
 J2/J3 pair, nc1 and nc2 both bind Jc2/Jc3, so lookups take (family, name).
-The formulas themselves live in `formulas`, their binding in `catalog`.
+The formulas themselves live in `formulas` (the complex factors M, A and N
+among them), their binding in `catalog`.
 """
 
 from dataclasses import replace
 
 from .catalog import Integral, lookup
-from .dual import cos, sin
 from .errors import UnknownIntegral
 from .families import hamiltonian
-from .formulas import (a1_component, a2_component, a_components, kinetic,
-                       lambda_factor, m1, m2, m_components, n_double, n_single,
-                       variant_jd2, variant_jd3)
+from .formulas import kinetic
 
 
 def _t(params, r, phi, p_r, p_phi):
@@ -69,36 +66,3 @@ def corruption(obs, params, part):
             p, r, phi, p_r, p_phi)
 
     return corrupt
-
-
-def complex_m(params, point):
-    """M = M1 + i M2, the doubled-angle factor of the na_prime family."""
-    r, phi, p_r, p_phi = point.as_tuple()
-    return complex(m1(params, r, phi, p_r, p_phi),
-                   m2(params, r, phi, p_r, p_phi))
-
-
-def complex_a(params, point):
-    """A = A1 + i A2, the single-angle factor of the nd family."""
-    r, phi, p_r, p_phi = point.as_tuple()
-    return complex(a1_component(params, r, phi, p_r, p_phi),
-                   a2_component(params, r, phi, p_r, p_phi))
-
-
-def complex_n(kind, n, phi):
-    """Unit factor N: kind "double" uses 2*k_n*phi, "single" uses k_n*phi."""
-    if kind == "double":
-        u = 2.0 * (n - 1.0) * phi
-    elif kind == "single":
-        u = (n - 1.0) * phi
-    else:
-        raise ValueError(f"unknown N kind {kind!r}")
-    return complex(cos(u), sin(u))
-
-
-def n_components(kind):
-    """Real/imaginary parts of N as Observable-shaped functions."""
-    parts = {"double": n_double, "single": n_single}
-    if kind not in parts:
-        raise ValueError(f"unknown N kind {kind!r}")
-    return parts[kind]

@@ -96,12 +96,6 @@ class DomainBox:
             raise ValueError("empty coordinate ranges")
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str = ""
-
-
 def singular_distance(family, n, phi):
     """Distance of u = k_n*phi from the family's nearest angular pole.
 
@@ -133,14 +127,6 @@ def check_point(point, params, phi_margin=POLE_MARGIN):
             f"k_n*phi within {phi_margin} of an angular pole (distance {d:.3e})")
 
 
-def validate(point, params, phi_margin=POLE_MARGIN):
-    try:
-        check_point(point, params, phi_margin)
-    except (NonFinite, RadiusNonPositive, AngularSingularity) as err:
-        return ValidationResult(False, f"{type(err).__name__}: {err}")
-    return ValidationResult(True)
-
-
 def sample_points(params, box, count):
     """Draw `count` valid points, rejection sampling from a seeded generator.
 
@@ -159,10 +145,13 @@ def sample_points(params, box, count):
     for _ in range(rounds):
         for draw in rng.uniform(low, high, size=(size, 4)).tolist():
             candidate = PhasePoint(*draw)
-            if validate(candidate, params, box.phi_margin).ok:
-                points.append(candidate)
-                if len(points) == count:
-                    return points
+            try:
+                check_point(candidate, params, box.phi_margin)
+            except (NonFinite, RadiusNonPositive, AngularSingularity):
+                continue
+            points.append(candidate)
+            if len(points) == count:
+                return points
     raise EmptyDomain(
         f"{len(points)}/{count} valid points after {rounds * size} draws")
 

@@ -172,7 +172,7 @@ def test_c7_flat_limit_equivalence():
         params = ModelParams(family, 0.0, 1.0, 0.7, 0.4)
         # the absolute gap, at these fixed couplings
         for pt in sample_points(params, twin_box(params, 71), 1000):
-            for u_val, v_val in flat_twin(params, *pt.as_tuple()):
+            for u_val, v_val, _ in flat_twin(params, *pt.as_tuple()):
                 worst = max(worst, abs(u_val - v_val))
     ok = worst <= 1e-12
     assert _verdict(7, "flat-limit potential equivalence",

@@ -135,6 +135,9 @@ def test_xcheck_unknown_tag():
     ["--which", "a", "--k1", "10"],
     ["--which", "c", "--k1", "100"],
     ["--which", "a", "--k0", "1e200", "--k1", "1e200", "--samples", "50"],
+    # large terms of opposite sign, whose sum U is far smaller than they are
+    ["--which=b", "--k0=1", "--k1=1e6", "--k2=-1e6"],
+    ["--which=c", "--k0=-1e6", "--k1=1e6", "--k2=1e6"],
 ])
 def test_xcheck_gap_is_relative_to_the_terms(flags, capsys):
     # correct code whose absolute gap |U - V| is roundoff of large terms
@@ -241,9 +244,17 @@ def test_no_subcommand_is_usage_error():
     ["integrate", "--family", "geodesic", "--n", "0", "--r0", "1",
      "--phi0", "0", "--pr0", "1", "--pphi0", "0", "--t-end", "1",
      "--out", "{missing}/traj.csv"],
+    # non-finite integrator settings: without the check, inf never returns,
+    # nan aborts at t = 0 and an infinite atol passes unchecked
+    *(["integrate", "--family", "na_central", "--n", "2", "--k0", "0.5",
+       "--r0", "1", "--phi0", "0.3", "--pr0", "0.1", "--pphi0", "0.5",
+       "--out", "{tmp}/traj.csv", flag, value]
+      for flag, value in (("--t-end", "inf"), ("--rtol", "nan"),
+                          ("--atol", "inf"))),
 ])
 def test_input_errors_exit_2_without_traceback(argv, tmp_path):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+            for a in argv]
     src = os.path.dirname(os.path.dirname(pdmham.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "pdmham.cli", *argv],

@@ -24,6 +24,10 @@ def test_config_validation():
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(h_min=1.0, h_init=1e-3)
+    for field, value in (("t_end", math.inf), ("rtol", math.nan),
+                         ("atol", math.inf), ("h_max", math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**{field: value})
 
 
 def test_fixed_step_config_pins_h():
@@ -241,9 +245,6 @@ def test_drift_report_flags_and_filters():
     rep = drift_report(traj, tolerance=1e-3)
     assert rep.exceeded == ("bad",)
     assert rep.worst == pytest.approx(0.5)
-    only_good = drift_report(traj, tolerance=1e-3, names=("good",))
-    assert only_good.exceeded == ()
-    assert len(only_good.drifts) == 1
 
 
 def test_drift_report_relative_normalization():

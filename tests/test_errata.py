@@ -11,14 +11,12 @@ import pytest
 from pdmham import (
     DomainBox,
     ModelParams,
-    complex_a,
-    complex_n,
     hamiltonian,
     integral,
     sample_points,
     scaled_residual,
 )
-from pdmham.observables import variant_jd2, variant_jd3
+from pdmham.formulas import a_components, n_single, variant_jd2, variant_jd3
 
 PARAMS = ModelParams("nd", 3.0, 1.0, 0.5, -0.3)
 
@@ -27,6 +25,11 @@ def _points(count=200, seed=11):
     box = DomainBox(phi_min=0.05, phi_max=np.pi - 0.05, phi_margin=0.05,
                     seed=seed)
     return sample_points(PARAMS, box, count)
+
+
+def _factor(parts, pt):
+    re, im = parts
+    return complex(re(PARAMS, *pt.as_tuple()), im(PARAMS, *pt.as_tuple()))
 
 
 def _worst_bracket(obs, points):
@@ -62,7 +65,7 @@ def test_factorization_forces_certified_signs():
     jd2 = integral("nd", "Jd2")
     jd3 = integral("nd", "Jd3")
     for pt in _points(count=300, seed=4):
-        prod = complex_a(PARAMS, pt) * complex_n("single", PARAMS.n, pt.phi)
+        prod = _factor(a_components, pt) * _factor(n_single, pt)
         v2 = jd2(PARAMS, *pt.as_tuple())
         v3 = jd3(PARAMS, *pt.as_tuple())
         assert abs(-prod.real - v2) <= 1e-12 * max(1.0, abs(v2))
@@ -73,6 +76,6 @@ def test_modulus_identity():
     jd2 = integral("nd", "Jd2")
     jd3 = integral("nd", "Jd3")
     for pt in _points(count=300, seed=9):
-        mod2 = abs(complex_a(PARAMS, pt)) ** 2
+        mod2 = abs(_factor(a_components, pt)) ** 2
         rhs = jd2(PARAMS, *pt.as_tuple()) ** 2 + jd3(PARAMS, *pt.as_tuple()) ** 2
         assert abs(mod2 - rhs) <= 1e-12 * max(1.0, abs(rhs))

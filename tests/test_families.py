@@ -121,7 +121,7 @@ def test_d_map_half_angle_anchor():
     params = ModelParams("nd", 0.0, 0.8, 0.5, 0.3)
     want = 0.8 + (0.5 - 0.3) / math.sqrt(2.0)
     assert potential(params, 1.0, math.pi / 2.0) == pytest.approx(want)
-    ((u_val, v_val),) = flat_twin(params, 1.0, math.pi / 2.0, 0.0, 0.0)
+    ((u_val, v_val, _),) = flat_twin(params, 1.0, math.pi / 2.0, 0.0, 0.0)
     assert abs(u_val - v_val) <= 1e-15
 
 
@@ -136,7 +136,7 @@ def test_flat_plane_twins(family, tag):
     # the absolute gap, at these fixed couplings
     worst = max(abs(u_val - v_val)
                 for pt in sample_points(params, twin_box(params, 3), 100)
-                for u_val, v_val in flat_twin(params, *pt.as_tuple()))
+                for u_val, v_val, _ in flat_twin(params, *pt.as_tuple()))
     assert worst <= 1e-12
 
 

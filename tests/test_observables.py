@@ -1,19 +1,16 @@
 """Integral registry, anchor values, complex factors, scaling laws."""
 
-import cmath
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmham.catalog import lookup
+from pdmham import formulas
+from pdmham.catalog import CATALOG, lookup
 from pdmham.errors import UnknownFamily, UnknownIntegral
 from pdmham.families import kinetic
-from pdmham.observables import (a_components, complex_a, complex_m, complex_n,
-                                family_integrals, integral, lambda_factor,
-                                m_components, n_components, variant_jd2,
-                                variant_jd3)
+from pdmham.formulas import (a_components, m_components, n_double, n_single,
+                             variant_jd2, variant_jd3)
+from pdmham.observables import family_integrals, integral
 from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
                           sample_points)
 
@@ -59,61 +56,65 @@ def test_certified_jd2_anchor_differs_from_variant():
     assert variant_jd3(params, *args) == pytest.approx(-1.0)
 
 
+def _complex(parts, params, r, phi, p_r=0.0, p_phi=0.0):
+    re, im = parts
+    return complex(re(params, r, phi, p_r, p_phi),
+                   im(params, r, phi, p_r, p_phi))
+
+
 def test_complex_m_anchor():
     params = ModelParams("na_prime", 2.0, 1.0, 2.0, 0.0)
-    point = PhasePoint(1.0, 0.0, 0.0, 0.0)
-    assert complex_m(params, point) == pytest.approx(6.0 + 0.0j)
+    assert _complex(m_components, params, 1.0, 0.0) == pytest.approx(
+        6.0 + 0.0j)
 
 
 def test_complex_a_anchor():
     params = ModelParams("nd", 2.0, 0.7, 0.0, 1.0)
-    point = PhasePoint(1.0, 0.0, 0.0, 0.0)
-    assert complex_a(params, point) == pytest.approx(0.7 - 1.0j)
+    assert _complex(a_components, params, 1.0, 0.0) == pytest.approx(
+        0.7 - 1.0j)
 
 
 def test_complex_n_unit_modulus():
-    for kind in ("double", "single"):
+    for parts in (n_double, n_single):
         for n in (-1.0, 2.0, 3.0):
+            params = ModelParams("nd", n)
             for phi in (0.0, 0.7, 2.9):
-                assert abs(complex_n(kind, n, phi)) == pytest.approx(1.0)
+                assert abs(_complex(parts, params, 1.0, phi)) == \
+                    pytest.approx(1.0)
     # single at angle phi equals double at half the angle
-    assert complex_n("single", 3.0, 0.8) == pytest.approx(
-        complex_n("double", 3.0, 0.4))
-    with pytest.raises(ValueError):
-        complex_n("triple", 2.0, 0.0)
-
-
-def test_n_components_match_complex_n():
-    for kind in ("double", "single"):
-        re, im = n_components(kind)
-        params = ModelParams("nd", 3.0, 0.0, 0.0, 0.0)
-        z = complex_n(kind, 3.0, 0.9)
-        assert re(params, 1.0, 0.9, 0.0, 0.0) == pytest.approx(z.real)
-        assert im(params, 1.0, 0.9, 0.0, 0.0) == pytest.approx(z.imag)
-    with pytest.raises(ValueError):
-        n_components("triple")
+    params = ModelParams("nd", 3.0)
+    assert _complex(n_single, params, 1.0, 0.8) == pytest.approx(
+        _complex(n_double, params, 1.0, 0.4))
 
 
 def test_lambda_conventions_differ_by_factor():
+    # na_prime's doubled-angle rate is 2 lambda with lambda = (n-1)
+    # r^{2(n-1)} p_phi (s61: the (n-1) inside); nd's N rate is (n-1) lambda
+    # with lambda = r^{2(n-1)} p_phi (s62: the (n-1) outside), and its A
+    # rate is the opposite
+    (_, _, doubled), _ = CATALOG["na_prime"].laws
+    (_, _, a_rate), (_, _, single) = CATALOG["nd"].laws
     point = PhasePoint(1.4, 0.8, 0.3, -0.9)
     for n in (-1.0, 2.0, 3.5):
-        s61 = lambda_factor("s61", n, point)
-        s62 = lambda_factor("s62", n, point)
+        s61 = 0.5 * doubled(ModelParams("na_prime", n), point)
+        s62 = point.r ** (2.0 * (n - 1.0)) * point.p_phi
         assert s61 == pytest.approx((n - 1.0) * s62, rel=1e-14)
-    with pytest.raises(ValueError):
-        lambda_factor("s63", 2.0, point)
+        nd = ModelParams("nd", n)
+        assert single(nd, point) == pytest.approx((n - 1.0) * s62, rel=1e-14)
+        assert a_rate(nd, point) == -single(nd, point)
 
 
 def test_component_tuples_are_callable_pairs():
     params = ModelParams("na_prime", 3.0, 0.5, 0.4, 0.3)
     args = (1.1, 0.6, 0.2, 0.8)
     m1, m2 = m_components
-    z = complex_m(params, PhasePoint(*args))
+    z = complex(formulas.m1(params, *args), formulas.m2(params, *args))
     assert m1(params, *args) == pytest.approx(z.real)
     assert m2(params, *args) == pytest.approx(z.imag)
     params_d = ModelParams("nd", 3.0, 0.5, 0.4, 0.3)
     a1, a2 = a_components
-    zd = complex_a(params_d, PhasePoint(*args))
+    zd = complex(formulas.a1_component(params_d, *args),
+                 formulas.a2_component(params_d, *args))
     assert a1(params_d, *args) == pytest.approx(zd.real)
     assert a2(params_d, *args) == pytest.approx(zd.imag)
 
@@ -139,8 +140,6 @@ def test_momentum_scaling_of_killing_parts(family):
     params = ModelParams(family, 2.0, 0.0, 0.0, 0.0)
     pts = sample_points(params, DomainBox(seed=5), 10)
     for obs in lookup(family).bound:
-        if not obs.has_kpart:
-            continue
         for pt in pts:
             base = obs(params, pt.r, pt.phi, pt.p_r, pt.p_phi)
             scaled = obs(params, pt.r, pt.phi, 2.0 * pt.p_r, 2.0 * pt.p_phi)

@@ -8,7 +8,7 @@ from pdmham.errors import (AngularSingularity, DegenerateN, EmptyDomain,
                            NonFinite, RadiusNonPositive, UnknownFamily)
 from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
                           check_point, polar_to_cartesian, sample_points,
-                          singular_distance, validate)
+                          singular_distance)
 
 
 def test_families_tuple():
@@ -53,14 +53,6 @@ def test_check_point_guards():
     with pytest.raises(AngularSingularity):
         check_point(PhasePoint(1.0, 0.5 * math.pi, 0.0, 0.0), params)
     check_point(PhasePoint(1.0, 0.7, 0.0, 0.0), params)
-
-
-def test_validate_wraps_check():
-    params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
-    good = validate(PhasePoint(1.0, 0.7, 0.0, 0.0), params)
-    bad = validate(PhasePoint(-1.0, 0.7, 0.0, 0.0), params)
-    assert good.ok and not bad.ok
-    assert bad.reason
 
 
 def test_singular_distance_geodesic_unbounded():

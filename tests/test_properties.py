@@ -5,7 +5,8 @@ trajectory with a termination tag, never raising mid-run.  `pdm` ends with
 exit code 0, 1, 2 or 3 and raises nothing else, whatever its `--config`
 file holds, and a failed verdict (1) never rests on a non-finite H,
 integral or `xcheck` gap; a certificate never rests on a non-finite
-residual.
+residual.  `pdm xcheck` passes on correct code at couplings of any sign
+and of sizes from 1e-6 to 1e6.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE,
                              IntegratorConfig, integrate)
 from pdmham.errors import PdmError
 from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                          sample_points, validate)
+                          check_point, sample_points)
 from pdmham.tracing import monitors
 
 EXPONENTS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
@@ -48,7 +49,7 @@ def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
         traj = integrate(params, initial, IntegratorConfig(t_end=t_end))
     except PdmError:
         return
-    assert validate(initial, params).ok
+    check_point(initial, params)
     assert traj.termination in (COMPLETED, SINGULARITY, STEP_FAILURE)
     assert len(traj) == traj.n_accepted + 1
 
@@ -95,9 +96,9 @@ VALUES = {
     "--phi0": (["0.7", "2"], ["0", "1e308"]),
     "--pr0": (["0.3", "-0.2"], ["-3"]),
     "--pphi0": (["0.4", "0"], ["30"]),
-    "--t-end": (["0.5", "1"], ["0", "-1"]),
-    "--rtol": (["1e-10", "1e-6"], ["0"]),
-    "--atol": (["1e-12"], ["-1"]),
+    "--t-end": (["0.5", "1"], ["0", "-1", "inf"]),
+    "--rtol": (["1e-10", "1e-6"], ["0", "nan"]),
+    "--atol": (["1e-12"], ["-1", "inf"]),
     "--which": (["a", "b", "c", "d"], ["q"]),
     "--out": (["{tmp}/out"], ["{tmp}/missing/out"]),
     "--bogus": ([], ["1"]),
@@ -196,3 +197,25 @@ def test_pdm_exits_with_a_contract_code(case, tmp_path, monkeypatch):
     if code == 1 and argv[0] == "xcheck":
         gap = out.getvalue().split(" = ")[1].split()[0]
         assert math.isfinite(float(gap)), argv
+
+
+# zero, or either sign at a size from 1e-6 to 1e6
+XCHECK_COUPLINGS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, power: sign * 10.0 ** power,
+              st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from("abcd"), k0=XCHECK_COUPLINGS,
+       k1=XCHECK_COUPLINGS, k2=XCHECK_COUPLINGS, samples=st.integers(1, 50),
+       seed=st.integers(0, 50))
+# large terms of opposite sign that cancel in U and V
+@example(which="b", k0=1.0, k1=1e6, k2=-1e6, samples=1000, seed=0)
+@example(which="c", k0=-1e6, k1=1e6, k2=1e6, samples=1000, seed=0)
+def test_xcheck_passes_at_couplings_of_any_sign_and_size(
+        which, k0, k1, k2, samples, seed):
+    argv = ["xcheck", f"--which={which}", f"--k0={k0!r}", f"--k1={k1!r}",
+            f"--k2={k2!r}", f"--samples={samples}", f"--seed={seed}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
