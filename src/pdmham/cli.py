@@ -119,7 +119,13 @@ def cmd_integrate(args, parser):
                     f" (heuristic scale {heuristic:.1e})")
     except EmptyTrajectory:
         summary += "; no drift stats (single recorded state)"
-    print(f"{summary}; {traj.n_field_evals} field evaluations")
+    summary += (f"; {traj.n_field_evals} field evaluations; rejected "
+                f"{traj.n_rejected_error} by the error test, "
+                f"{traj.n_rejected_invalid} by an invalid stage")
+    steps = traj.step_sizes()
+    if steps is not None:
+        summary += "; step size min %.3g median %.3g max %.3g" % steps
+    print(summary)
     return EXIT_PASS if traj.termination == COMPLETED else EXIT_ABORT
 
 

@@ -199,13 +199,15 @@ def test_c8_long_horizon_dynamics():
                 worst_defect = max(worst_defect, defect)
 
     # order of convergence: halving a fixed step must cut the endpoint
-    # error by at least 4x (the scheme itself delivers about 32x)
+    # error by at least 4x (the scheme itself delivers about 256x); the
+    # steps are coarse enough that the errors (5e-8 down to 9e-13) sit well
+    # above the roundoff floor near 4e-14
     probe = ModelParams("na_central", 2.0, 1.0, 0.5, 0.25)
     state = sample_points(probe, DomainBox(p_max=1.2, seed=5), 1)[0]
     ref = integrate(probe, state, fixed_step_config(5e-4, 2.0)).final()
     errs = [final_state_distance(
         integrate(probe, state, fixed_step_config(h, 2.0)).final(), ref)
-        for h in (0.04, 0.02, 0.01)]
+        for h in (0.4, 0.2, 0.1)]
     min_ratio = min(a / b for a, b in zip(errs, errs[1:]))
 
     ok = (all_completed and worst_drift <= 1e-6
@@ -218,10 +220,11 @@ def test_c8_long_horizon_dynamics():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="proportional step-size control tracks the tolerance sublinearly: "
-           "halving rtol improves the endpoint error by about 2.4x (error "
-           "scales like rtol^1.3), below the 4x a fixed-order scheme shows "
-           "under step halving; the fixed-step check above verifies order 5")
+    reason="halving rtol from 1e-8 improves the endpoint error only 1.28x "
+           "(4.3e-14 to 3.4e-14): the integrator works at rtol * 1e-4, so at "
+           "t = 2 both runs already sit on the roundoff floor, below the 4x "
+           "a fixed-order scheme shows under step halving; the fixed-step "
+           "check above verifies order 8")
 def test_c8_adaptive_rtol_halving_literal():
     probe = ModelParams("na_central", 2.0, 1.0, 0.5, 0.25)
     state = sample_points(probe, DomainBox(p_max=1.2, seed=5), 1)[0]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,27 @@ def test_integrate_straight_line_csv(tmp_path, capsys):
     assert len(lines) >= 3
     summary = capsys.readouterr().out
     assert "Completed" in summary and "drift" in summary
+
+
+def test_integrate_summary_appends_step_counters(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code = run(["integrate", "--family", "nc", "--n", "2", "--k0", "-1",
+                "--r0", "1", "--phi0", "0.5", "--pr0", "0.1", "--pphi0",
+                "0.9", "--t-end", "5", "--out", str(out)])
+    assert code == 0
+    summary = capsys.readouterr().out.strip()
+    m = re.fullmatch(
+        r"nc n=2: Completed at t=5, (\d+) steps \((\d+) rejected\) -> \S+; "
+        r"worst relative drift \S+ \(heuristic scale 5\.0e-09\); "
+        r"(\d+) field evaluations; rejected (\d+) by the error test, "
+        r"(\d+) by an invalid stage; "
+        r"step size min (\S+) median (\S+) max (\S+)", summary)
+    assert m is not None, summary
+    accepted, rejected, _, by_error, by_invalid = map(int, m.groups()[:5])
+    h_min, h_median, h_max = map(float, m.groups()[5:])
+    assert by_error + by_invalid == rejected
+    assert len(out.read_text().splitlines()) == accepted + 2
+    assert 0.0 < h_min <= h_median <= h_max <= 1.0
 
 
 def test_integrate_missing_state_flag():

@@ -6,15 +6,23 @@ import numpy as np
 import pytest
 
 from pdmham.brackets import gradient_fd
-from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
-                             IntegratorConfig, Trajectory, drift_report,
-                             final_state_distance, fixed_step_config,
-                             hamilton_vector_field, integrate,
-                             time_reversal_defect)
+from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, A, B, E3,
+                             E5, DriftReport, IntegratorConfig, Trajectory,
+                             drift_report, final_state_distance,
+                             fixed_step_config, hamilton_vector_field,
+                             integrate, time_reversal_defect)
 from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 
 GEO0 = ModelParams("geodesic", 0.0, 0.0, 0.0, 0.0)
+
+# the DOP853 nodes as published (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.10); the integrator itself never needs them
+NODES = (0.0, 0.526001519587677318785587544488e-01,
+         0.789002279381515978178381316732e-01,
+         0.118350341907227396726757197510,
+         0.281649658092772603273242802490,
+         1.0 / 3.0, 0.25, 4.0 / 13.0, 127.0 / 195.0, 0.6, 6.0 / 7.0, 1.0)
 
 
 def test_config_validation():
@@ -34,6 +42,33 @@ def test_fixed_step_config_pins_h():
     cfg = fixed_step_config(0.01, 2.0)
     assert cfg.h_min == cfg.h_init == cfg.h_max == 0.01
     assert cfg.rtol > 1.0
+
+
+def test_tableau_is_consistent():
+    # each stage sits at its node, the solution weights sum to 1 and both
+    # error estimators vanish on a constant field; a row sum carries the
+    # rounding of its largest entry (up to 43 in magnitude)
+    assert len(A) == len(NODES) == len(B) == len(E5) == len(E3) == 12
+    for row, c in zip(A, NODES):
+        scale = max(map(abs, row), default=1.0)
+        assert math.fsum(row) == pytest.approx(c, abs=1e-15 * scale)
+    assert math.fsum(B) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(E5) == pytest.approx(0.0, abs=1e-15)
+    assert math.fsum(E3) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_fixed_step_order_is_eight():
+    # halving h cuts the endpoint error by about 2^8; the errors at these
+    # steps sit far above the roundoff floor near 1e-14
+    params = ModelParams("na_central", 2.0, 1.0)
+    start = PhasePoint(1.0, 0.4, 0.2, 0.8)
+    ref = integrate(params, start, fixed_step_config(1e-3, 2.0)).final()
+    errs = [final_state_distance(
+        integrate(params, start, fixed_step_config(h, 2.0)).final(), ref)
+        for h in (0.2, 0.1, 0.05)]
+    assert errs[-1] > 1e-12
+    for coarse, fine in zip(errs, errs[1:]):
+        assert math.log2(coarse / fine) == pytest.approx(8.0, abs=0.5)
 
 
 def test_field_free_radial_motion():
@@ -75,7 +110,14 @@ def test_field_evaluation_count():
                      PhasePoint(1.0, 0.5, 0.1, 0.9),
                      IntegratorConfig(t_end=5.0, h_init=0.5))
     assert traj.termination == COMPLETED and traj.n_rejected > 0
-    assert traj.n_field_evals == 1 + 6 * (traj.n_accepted + traj.n_rejected)
+    # 11 stages per attempted step past the first, plus the new state's
+    # field once per accepted step
+    assert traj.n_field_evals == (1 + 11 * (traj.n_accepted + traj.n_rejected)
+                                  + traj.n_accepted)
+    assert traj.n_rejected_error == traj.n_rejected
+    assert traj.n_rejected_invalid == 0
+    h_min, h_median, h_max = traj.step_sizes()
+    assert 0.0 < h_min <= h_median <= h_max < 0.5
 
 
 def test_complex_stage_at_non_integer_n_is_rejected():
@@ -83,7 +125,9 @@ def test_complex_stage_at_non_integer_n_is_rejected():
     traj = integrate(ModelParams("nc", -0.5, -1.0, 0.3, -0.2),
                      PhasePoint(0.02, 0.5, -3.0, 0.1),
                      IntegratorConfig(t_end=1.0))
-    assert traj.n_rejected > 0
+    assert traj.n_rejected_invalid > 0
+    assert (traj.n_rejected_error + traj.n_rejected_invalid
+            == traj.n_rejected)
     assert traj.states.dtype == np.float64
     assert np.all(np.isfinite(traj.states))
 
@@ -154,13 +198,14 @@ def test_guard_termination_outward_escape():
 
 def test_collapsing_accepted_steps_end_as_step_failure():
     # from the first seed-0 sample point the na orbit nears the pole at
-    # u = pi and its accepted steps shrink toward zero; the run must stop
-    # at h_min instead of stepping forever
+    # u = pi, where p_phi -> -inf in finite time, and its accepted steps
+    # shrink toward zero; the run must stop at h_min instead of stepping
+    # forever (at the blow-up time, for every rtol from 1e-8 to 1e-13)
     params = ModelParams("na", 3.0, 1.0, 0.5, -0.3)
     start = sample_points(params, DomainBox(seed=0), 1)[0]
     traj = integrate(params, start, IntegratorConfig(t_end=0.009))
     assert traj.termination == STEP_FAILURE
-    assert traj.times[-1] == pytest.approx(0.00862, abs=1e-5)
+    assert traj.times[-1] == pytest.approx(0.00865, abs=1e-5)
     assert traj.n_accepted == len(traj) - 1
 
 
@@ -259,6 +304,7 @@ def test_drift_report_empty_trajectory():
     traj = _manual_trajectory({"H": np.array([1.0])}, k=1)
     with pytest.raises(EmptyTrajectory):
         drift_report(traj)
+    assert traj.step_sizes() is None
 
 
 def test_termination_tags_distinct():
