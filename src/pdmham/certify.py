@@ -33,7 +33,7 @@ from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
 from .formulas import kinetic_noether
 from .observables import corruption_parts, family_integrals, integral
 from .phase import DomainBox, sample_points
-from .tracing import gradient_row, monitors
+from .tracing import gradient_row, monitor_terms, monitors
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -422,7 +422,7 @@ def _checks(params, sample, config, points, corrupt):
 
     try:
         trajectory = integrate(params, points[0], config)
-        rep = drift_report(trajectory)
+        rep = drift_report(trajectory, terms=monitor_terms(params))
         yield CheckResult(
             "drift", rep.worst, DRIFT_TOL, rep.worst <= DRIFT_TOL,
             note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}")

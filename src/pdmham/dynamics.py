@@ -19,6 +19,7 @@ evaluated at accepted steps.
 import math
 from dataclasses import astuple, dataclass
 from math import isfinite
+from statistics import median
 
 import numpy as np
 
@@ -151,11 +152,8 @@ class Trajectory:
         """(min, median, max) accepted step size; None with no steps."""
         if len(self.times) < 2:
             return None
-        # sorted by hand: np.median imports numpy.ma, 15 ms on first use
-        h = np.sort(np.diff(self.times))
-        mid = len(h) // 2
-        median = h[mid] if len(h) % 2 else 0.5 * (h[mid - 1] + h[mid])
-        return float(h[0]), float(median), float(h[-1])
+        h = np.diff(self.times).tolist()
+        return min(h), median(h), max(h)
 
     def state(self, i):
         return PhasePoint(*self.states[i])
@@ -252,7 +250,7 @@ def integrate(params, initial, config=None):
             # much larger (Hairer, Norsett & Wanner's err); an overflowing
             # estimate reads NaN and is rejected
             denom = sum5 + 0.01 * sum3
-            err = h * sum5 / math.sqrt(4.0 * denom) if denom > 0.0 else 0.0
+            err = h * sum5 / math.sqrt(4.0 * denom) if denom != 0.0 else 0.0
             if not err <= 1.0:
                 n_rejected += 1
                 h_next = h * max(0.2, 0.9 * err ** -0.125)
@@ -329,15 +327,21 @@ class DriftReport:
         return max((d.rel_drift for d in self.drifts), default=0.0)
 
 
-def drift_report(trajectory, tolerance=DRIFT_TOL):
-    """Per-monitor drift relative to max(1, |initial value|)."""
+def drift_report(trajectory, tolerance=DRIFT_TOL, terms=None):
+    """Per-monitor drift relative to max(1, |initial value|), and also to
+    the largest size of the monitor's terms along the trajectory when
+    `terms` is a row function like `tracing.monitor_terms(params)`."""
     if len(trajectory) < 2:
         raise EmptyTrajectory(f"{len(trajectory)} recorded state(s)")
+    sizes = (np.max([terms(*y) for y in trajectory.states.tolist()], axis=0)
+             if terms is not None else np.zeros(len(trajectory.monitors)))
+    if not np.isfinite(sizes).all():
+        raise NonFinite("the size of a monitor's terms overflows")
     drifts = []
-    for name, series in trajectory.monitors.items():
+    for (name, series), size in zip(trajectory.monitors.items(), sizes):
         j0 = series[0]
         max_abs = float(np.max(np.abs(series - j0)))
-        rel = max_abs / max(1.0, abs(j0))
+        rel = max_abs / max(1.0, abs(j0), size)
         drifts.append(MonitorDrift(name, float(j0), max_abs, rel,
                                    rel > tolerance))
     return DriftReport(drifts=tuple(drifts), tolerance=tolerance)

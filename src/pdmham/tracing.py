@@ -1,6 +1,6 @@
 """Source-transformation differentiation: each family's vector field,
-monitor row and gradient rows, traced once per parameter set into
-straight-line float code.
+monitor row, the size of the monitors' terms and gradient rows, traced
+once per parameter set into straight-line float code.
 
 A recording scalar `Sym` runs through the same `formulas`/`catalog` code
 that floats and duals run through and appends one line of Python per float
@@ -26,6 +26,7 @@ a traced value fails while tracing instead of compiling one branch.
 
 import functools
 import math
+from dataclasses import replace
 
 from .dual import seed, tangent
 from .families import hamiltonian
@@ -117,6 +118,9 @@ class Sym:
     def sqrt(self):
         return self._emit(f"sqrt({self.name})", self)
 
+    def __abs__(self):
+        return self._emit(f"abs({self.name})", self)
+
     def __bool__(self, *_):
         raise TypeError("a formula branched on a traced value")
 
@@ -162,6 +166,29 @@ def monitors(params):
     fns = [integral(params.family, name) for name in names]
     return names, compile_traced(
         lambda *y: tuple(fn(params, *y) for fn in fns))
+
+
+@functools.lru_cache(maxsize=128)
+def monitor_terms(params):
+    """Compiled row(r, phi, p_r, p_phi) -> the size of each monitor's
+    terms, in the order of `monitors(params)`: |F| at couplings zeroed plus
+    |F with one coupling alone - F at couplings zeroed| for each coupling.
+    H and every bound integral are linear in (k0, k1, k2), so these are
+    the parts that sum to F; near a pole they are far larger than F, and
+    so is the roundoff F carries."""
+    names, _ = monitors(params)
+    fns = [integral(params.family, name) for name in names]
+    zero = replace(params, k0=0.0, k1=0.0, k2=0.0)
+    alone = (replace(zero, k0=params.k0), replace(zero, k1=params.k1),
+             replace(zero, k2=params.k2))
+
+    def sizes(*y):
+        out = []
+        for fn in fns:
+            base = fn(zero, *y)
+            out.append(abs(base) + sum(abs(fn(p, *y) - base) for p in alone))
+        return tuple(out)
+    return compile_traced(sizes)
 
 
 def _row(fn, params, r, phi, p_r, p_phi):

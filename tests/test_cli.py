@@ -72,6 +72,20 @@ def test_check_corrupt_flag_fails_verdict(tmp_path):
     assert names["bracket:Jd2"]["pass"] is False
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_check_passes_where_the_drift_orbit_falls_into_a_pole(seed, capsys):
+    # from these start points the orbit falls into the attractive k2 < 0
+    # pole and stops as StepFailure; there H, Ja2 and Ja3 are differences
+    # of terms about 1e9 in size, which bound how well they can be held
+    code = run(["check", "--family", "na", "--n", "3", "--k0", "1",
+                "--k1", "0.5", "--k2", "-0.3", "--seed", seed])
+    cert = json.loads(capsys.readouterr().out)
+    drift = {c["name"]: c for c in cert["checks"]}["drift"]
+    assert drift["note"].startswith("StepFailure")
+    assert drift["pass"] is True
+    assert code == 0
+
+
 def test_check_requires_family():
     with pytest.raises(SystemExit) as exc:
         run(["check", "--n", "2"])

@@ -300,6 +300,18 @@ def test_drift_report_relative_normalization():
     assert rep.drifts[0].rel_drift == pytest.approx(0.1)
 
 
+def test_drift_report_scales_by_the_size_of_the_terms():
+    # drift is relative to max(1, |J(0)|, the largest term size on the row)
+    traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
+    rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (1e3,))
+    assert rep.drifts[0].max_abs_drift == pytest.approx(1.0)
+    assert rep.drifts[0].rel_drift == pytest.approx(1e-3)
+    rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (2.0,))
+    assert rep.drifts[0].rel_drift == pytest.approx(0.1)
+    with pytest.raises(NonFinite):
+        drift_report(traj, terms=lambda r, phi, p_r, p_phi: (math.inf,))
+
+
 def test_drift_report_empty_trajectory():
     traj = _manual_trajectory({"H": np.array([1.0])}, k=1)
     with pytest.raises(EmptyTrajectory):

@@ -1,5 +1,5 @@
-"""The traced field, monitor row and gradient rows against their dual and
-float oracles."""
+"""The traced field, monitor row, monitor term sizes and gradient rows
+against their dual and float oracles."""
 
 from dataclasses import replace
 
@@ -13,8 +13,8 @@ from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
 from pdmham.phase import DomainBox, ModelParams, sample_points
-from pdmham.tracing import (compile_traced, gradient_row, monitors,
-                            vector_field)
+from pdmham.tracing import (compile_traced, gradient_row, monitor_terms,
+                            monitors, vector_field)
 
 CASES = [(family, n) for family in CATALOG
          for n in (-1.0, 0.0, 0.5, 2.0, 3.0)]
@@ -42,6 +42,26 @@ def test_traced_monitors_equal_float_integrals(family, n):
     for y in _points(params):
         assert row(*y) == tuple(integral(family, name)(params, *y)
                                 for name in names)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_monitor_terms_are_the_coupling_parts(family, n):
+    # each monitor is linear in (k0, k1, k2): its value is the sum of its
+    # part at couplings zeroed and one part per coupling, and the term size
+    # is the sum of their magnitudes
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    zero = replace(params, k0=0.0, k1=0.0, k2=0.0)
+    alone = (replace(zero, k0=0.7), replace(zero, k1=0.3),
+             replace(zero, k2=-0.2))
+    names, row = monitors(params)
+    sizes = monitor_terms(params)
+    for y in _points(params):
+        for name, value, size in zip(names, row(*y), sizes(*y)):
+            fn = integral(family, name)
+            base = fn(zero, *y)
+            parts = [fn(p, *y) - base for p in alone]
+            assert size == abs(base) + sum(abs(part) for part in parts)
+            assert abs(value - base - sum(parts)) <= 1e-14 * max(1.0, size)
 
 
 def test_numpy_scalar_couplings_trace_to_float_literals():
