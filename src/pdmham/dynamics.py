@@ -14,6 +14,12 @@ stay within about 1e-11 of closed-form flows at the default rtol.  The new
 state's field is evaluated only once a step passes the error test, and
 seeds the next step.  Monitors (H plus every family integral) are
 evaluated at accepted steps.
+
+One step (the eleven new stages, the new state and both error estimates)
+is Python source generated from the tableau at import and compiled once:
+straight-line float code over the nonzero coefficients, in the order a
+plain loop over the tableau rows would add them, so the floats are the
+same as that loop's.
 """
 
 import math
@@ -181,16 +187,44 @@ def _try_field(field, y):
     return None
 
 
-def _combine(y, h, coeffs, ks):
-    y0, y1, y2, y3 = y
-    for c, k in zip(coeffs, ks):
-        if c != 0.0:
-            hc = h * c
-            y0 += hc * k[0]
-            y1 += hc * k[1]
-            y2 += hc * k[2]
-            y3 += hc * k[3]
-    return (y0, y1, y2, y3)
+def _step_source():
+    """Source of `_step(field, y0..y3, h, k0_0..k0_3)`, one DOP853 step as
+    straight-line float code, k0 being the first stage, f(y).  Each sum
+    folds y + (h*c)*k left to right over the nonzero coefficients of its
+    row (0.0 + c*k for e5 and e3), with each h*c computed once.  The step
+    returns (y_new, e5, e3), or the index of the first invalid stage, which
+    is also the number of field evaluations it made."""
+    def fold(start, terms, i):
+        return " + ".join([start] + [f"{c} * k{j}_{i}" for j, c in terms])
+
+    lines = ["def _step(field, y0, y1, y2, y3, h, k0_0, k0_1, k0_2, k0_3):"]
+    for s, row in enumerate(A[1:] + (B,), 1):
+        nonzero = [(j, c) for j, c in enumerate(row) if c != 0.0]
+        lines += [f"    c{s}_{j} = h * ({c!r})" for j, c in nonzero]
+        sums = [fold(f"y{i}", [(j, f"c{s}_{j}") for j, _ in nonzero], i)
+                for i in range(4)]
+        if row is B:
+            break
+        # an invalid stage as in _try_field
+        lines += ["    try:",
+                  f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field("
+                  + ", ".join(sums) + ")",
+                  "        if not (" + " and ".join(
+                      f"isfinite(k{s}_{i})" for i in range(4)) + "):",
+                  f"            return {s}",
+                  "    except (ArithmeticError, ValueError, TypeError):",
+                  f"        return {s}"]
+    errors = [[fold("0.0", [(j, f"({c!r})") for j, c in enumerate(weights)
+                            if c != 0.0], i) for i in range(4)]
+              for weights in (E5, E3)]
+    lines.append("    return " + ", ".join(
+        "(" + ", ".join(terms) + ")" for terms in [sums] + errors))
+    return "\n".join(lines)
+
+
+_namespace = {"isfinite": isfinite}
+exec(compile(_step_source(), "<dop853 step>", "exec"), _namespace)
+_step = _namespace["_step"]
 
 
 def integrate(params, initial, config=None):
@@ -228,17 +262,13 @@ def integrate(params, initial, config=None):
         termination = SINGULARITY
     while termination == COMPLETED and t < config.t_end - 1e-12:
         h = min(h, config.h_max, config.t_end - t)
-        ks = [k1]
-        for row in A[1:]:
-            k = _try_field(field, _combine(y, h, row, ks))
-            n_evals += 1
-            if k is None:
-                break
-            ks.append(k)
+        out = _step(field, *y, h, *k1)
+        if isinstance(out, int):
+            n_evals += out
+            k = None
         else:
-            y_new = _combine(y, h, B, ks)
-            e5 = _combine((0.0,) * 4, 1.0, E5, ks)
-            e3 = _combine((0.0,) * 4, 1.0, E3, ks)
+            n_evals += len(A) - 1
+            y_new, e5, e3 = out
             sum5 = sum3 = 0.0
             for i in range(4):
                 scale = atol + rtol * max(abs(y[i]), abs(y_new[i]))

@@ -128,9 +128,11 @@ class Sym:
     __hash__ = None
 
 
-def compile_traced(fn):
+def compile_traced(fn, label):
     """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function
-    of the same four coordinates that returns the same tuple of floats."""
+    of the same four coordinates that returns the same tuple of floats.
+    It is compiled under the file name `<traced label>`, so profiles list
+    each trace on its own."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
@@ -142,7 +144,8 @@ def compile_traced(fn):
     head = f"def traced({', '.join(_COORDS)}):"
     ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
     namespace = dict(_GLOBALS)
-    exec("\n".join([head] + body[::-1] + [ret]), namespace)
+    source = "\n".join([head] + body[::-1] + [ret])
+    exec(compile(source, f"<traced {label}>", "exec"), namespace)
     return namespace["traced"]
 
 
@@ -155,7 +158,8 @@ def _field(params, r, phi, p_r, p_phi):
 def vector_field(params):
     """Compiled (dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) of H, called as
     f(r, phi, p_r, p_phi)."""
-    return compile_traced(functools.partial(_field, params))
+    return compile_traced(functools.partial(_field, params),
+                          f"vector_field {params}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -165,7 +169,8 @@ def monitors(params):
     names = ("H",) + family_integrals(params.family)
     fns = [integral(params.family, name) for name in names]
     return names, compile_traced(
-        lambda *y: tuple(fn(params, *y) for fn in fns))
+        lambda *y: tuple(fn(params, *y) for fn in fns),
+        f"monitors {params}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -188,7 +193,7 @@ def monitor_terms(params):
             base = fn(zero, *y)
             out.append(abs(base) + sum(abs(fn(p, *y) - base) for p in alone))
         return tuple(out)
-    return compile_traced(sizes)
+    return compile_traced(sizes, f"monitor_terms {params}")
 
 
 def _row(fn, params, r, phi, p_r, p_phi):
@@ -208,6 +213,8 @@ def gradient_row(params, fn, variant=None):
     `observables.corruption`).  The Killing part of an integral is its
     plain row at couplings zeroed.
     """
+    name = getattr(fn, "name", None) or fn.__name__
     if variant is not None:
         fn = corruption(fn, params, variant)
-    return compile_traced(functools.partial(_row, fn, params))
+    return compile_traced(functools.partial(_row, fn, params),
+                          f"gradient_row {name} {variant} {params}")

@@ -5,15 +5,20 @@ With k = n - 1, a = |k| and s = sgn(k), the chart
     rho = r^-k / a,  theta = k phi,  p_rho = -s r^n p_r,  p_theta = p_phi / k
 
 takes the kinetic term (1/2) r^{2n} (p_r^2 + p_phi^2 / r^2) to the flat
-(1/2) (p_rho^2 + p_theta^2 / rho^2).  Two families then flow in closed form:
+(1/2) (p_rho^2 + p_theta^2 / rho^2).  With (x, y) = rho (cos theta,
+sin theta), four families then flow in closed form:
 
+- geodesic, V = 0: straight lines;
 - na_central, V = k0 r^{-2k} = k0 k^2 rho^2: the isotropic oscillator with
   omega^2 = 2 k0 k^2;
+- na, V = k0 k^2 rho^2 + k1 / (k^2 x^2) + k2 / (k^2 y^2): each axis on its
+  own, an oscillator of the same omega behind a barrier c / q^2, where
+  q^2 = A + B cos 2 omega t + C sin 2 omega t;
 - nc, V = k0 r^k = (k0 / a) / rho: Kepler with mu = -k0 / a, bound orbits
   advanced by the f and g functions, Kepler's equation solved by Newton's
   method.
 
-The chart and both flows are written here in plain floats; nothing but
+The chart and the flows are written here in plain floats; nothing but
 `integrate` and its inputs comes from the package, so the judge shares no
 code with what it judges.
 """
@@ -32,6 +37,10 @@ GAP_TOL = 1e-9
 # flat-chart starts (rho, theta, p_rho, p_theta)
 OSC_STARTS = ((1.0, 0.4, 0.2, 0.8), (1.4, 2.0, -0.3, 0.5),
               (0.7, -1.0, 0.5, -0.6))
+# straight lines that stay within 0.5 < rho < 20 up to T_END, where the
+# chart at every n keeps r inside the integrator's guards
+LINE_STARTS = ((1.0, 0.4, 0.2, 0.25), (1.5, 2.0, -0.02, 0.4),
+               (0.8, -1.0, 0.1, -0.3))
 # (rho, theta, p_rho, lfac): angular momentum lfac * sqrt(mu rho), a bound
 # ellipse of eccentricity below 0.45 for every n
 KEPLER_STARTS = ((1.5, 0.5, 0.0, 0.9), (1.0, 2.0, 0.2, 0.8),
@@ -63,6 +72,28 @@ def _oscillator(z, omega, t):
     c, s = math.cos(omega * t), math.sin(omega * t)
     return (x * c + px / omega * s, y * c + py / omega * s,
             px * c - x * omega * s, py * c - y * omega * s)
+
+
+def _line(z, t):
+    x, y, px, py = z
+    return (x + px * t, y + py * t, px, py)
+
+
+def _barrier_axis(q, p, omega, c, t):
+    """(q, p) at t under (1/2) p^2 + (1/2) omega^2 q^2 + c / q^2, c > 0:
+    u = q^2 obeys u'' = 4 E - 4 omega^2 u, and q keeps its sign."""
+    energy = 0.5 * p * p + 0.5 * omega * omega * q * q + c / (q * q)
+    mean = energy / (omega * omega)
+    b, cc = q * q - mean, q * p / omega
+    cos2, sin2 = math.cos(2.0 * omega * t), math.sin(2.0 * omega * t)
+    q_t = math.copysign(math.sqrt(mean + b * cos2 + cc * sin2), q)
+    return q_t, omega * (cc * cos2 - b * sin2) / q_t
+
+
+def _barrier_oscillator(z, omega, cx, cy, t):
+    x, px = _barrier_axis(z[0], z[2], omega, cx, t)
+    y, py = _barrier_axis(z[1], z[3], omega, cy, t)
+    return (x, y, px, py)
 
 
 def _kepler(z, mu, t):
@@ -106,11 +137,24 @@ def _end_gap(params, start, exact_flow):
     return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
 
+def _line_gap(n):
+    params = ModelParams("geodesic", n)
+    return max(_end_gap(params, start, _line) for start in LINE_STARTS)
+
+
 def _osc_gap(n):
     params = ModelParams("na_central", n, 1.0, 0.5, 0.25)
     omega = math.sqrt(2.0 * params.k0) * abs(n - 1.0)
     return max(_end_gap(params, start, lambda z, t: _oscillator(z, omega, t))
                for start in OSC_STARTS)
+
+
+def _barrier_gap(n):
+    params = ModelParams("na", n, 1.0, 0.5, 0.25)
+    k2 = (n - 1.0) ** 2
+    omega = math.sqrt(2.0 * params.k0 * k2)
+    return max(_end_gap(params, start, lambda z, t: _barrier_oscillator(
+        z, omega, params.k1 / k2, params.k2 / k2, t)) for start in OSC_STARTS)
 
 
 def _kepler_gap(n):
@@ -140,11 +184,26 @@ def test_flows_are_exact_on_their_own():
         energy, abs=1e-14)
     assert x * vy - y * vx == pytest.approx(z[0] * z[3] - z[1] * z[2],
                                             abs=1e-14)
+    x, y, px, py = _barrier_oscillator(z, 1.7, 0.3, 0.2, math.pi / 1.7)
+    assert (x, y, px, py) == pytest.approx(z, abs=1e-14)
+    x, y, px, py = _barrier_oscillator(z, 1.7, 0.3, 0.2, 0.37)
+    assert 0.5 * px * px + 1.445 * x * x + 0.3 / (x * x) == pytest.approx(
+        0.5 * z[2] ** 2 + 1.445 * z[0] ** 2 + 0.3 / z[0] ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", N_VALUES)
+def test_geodesic_matches_straight_lines(n):
+    assert _line_gap(n) <= GAP_TOL
 
 
 @pytest.mark.parametrize("n", N_VALUES)
 def test_na_central_matches_the_oscillator(n):
     assert _osc_gap(n) <= GAP_TOL
+
+
+@pytest.mark.parametrize("n", N_VALUES)
+def test_na_matches_the_oscillator_behind_barriers(n):
+    assert _barrier_gap(n) <= GAP_TOL
 
 
 @pytest.mark.parametrize("n", N_VALUES)

@@ -8,7 +8,7 @@ import pytest
 from pdmham.brackets import gradient_fd
 from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, A, B, E3,
                              E5, DriftReport, IntegratorConfig, Trajectory,
-                             drift_report, final_state_distance,
+                             _step, drift_report, final_state_distance,
                              fixed_step_config, hamilton_vector_field,
                              integrate, time_reversal_defect)
 from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
@@ -71,6 +71,71 @@ def test_fixed_step_order_is_eight():
         assert math.log2(coarse / fine) == pytest.approx(8.0, abs=0.5)
 
 
+def _combine(start, h, coeffs, ks):
+    y = list(start)
+    for c, k in zip(coeffs, ks):
+        if c != 0.0:
+            hc = h * c
+            for i in range(4):
+                y[i] += hc * k[i]
+    return tuple(y)
+
+
+def _reference_step(field, y, h, k1):
+    """One DOP853 step as a plain loop over the tableau: (y_new, e5, e3),
+    or the index of the first stage that raises or is not finite."""
+    ks = [k1]
+    for s, row in enumerate(A[1:], 1):
+        try:
+            k = field(*_combine(y, h, row, ks))
+            if not all(map(math.isfinite, k)):
+                return s
+        except (ArithmeticError, ValueError, TypeError):
+            return s
+        ks.append(k)
+    zero = (0.0,) * 4
+    return (_combine(y, h, B, ks), _combine(zero, 1.0, E5, ks),
+            _combine(zero, 1.0, E3, ks))
+
+
+def _toy_field(r, phi, p_r, p_phi):
+    return (p_r + 0.3 * r * phi, p_phi - r * r, 0.1 * p_r * p_phi - r,
+            phi ** 3 - 0.5 * p_r)
+
+
+def test_generated_step_matches_the_tableau_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        y = tuple(rng.uniform(-2.0, 2.0, 4).tolist())
+        h = float(rng.uniform(1e-3, 0.5))
+        k1 = _toy_field(*y)
+        got = _step(_toy_field, *y, h, *k1)
+        want = _reference_step(_toy_field, y, h, k1)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["raise", "nan"])
+@pytest.mark.parametrize("stage", range(1, len(A)))
+def test_generated_step_reports_the_invalid_stage(stage, bad):
+    # the step stops at the first invalid stage and returns its index,
+    # which is the number of field evaluations it made
+    calls = []
+
+    def field(*y):
+        calls.append(y)
+        if len(calls) == stage:
+            if bad == "raise":
+                raise ZeroDivisionError
+            return (0.0, math.nan, 0.0, 0.0)
+        return _toy_field(*y)
+
+    y = (1.0, 0.4, 0.2, 0.8)
+    assert _step(field, *y, 0.1, *_toy_field(*y)) == stage
+    assert len(calls) == stage
+    calls.clear()
+    assert _reference_step(field, y, 0.1, _toy_field(*y)) == stage
+
+
 def test_field_free_radial_motion():
     field = hamilton_vector_field(GEO0, PhasePoint(1.0, 0.0, 1.0, 0.0))
     assert field == pytest.approx((1.0, 0.0, 0.0, 0.0))
@@ -128,6 +193,8 @@ def test_complex_stage_at_non_integer_n_is_rejected():
     assert traj.n_rejected_invalid > 0
     assert (traj.n_rejected_error + traj.n_rejected_invalid
             == traj.n_rejected)
+    assert (traj.n_accepted, traj.n_rejected, traj.n_rejected_invalid,
+            traj.n_field_evals) == (186, 10, 2, 2335)
     assert traj.states.dtype == np.float64
     assert np.all(np.isfinite(traj.states))
 

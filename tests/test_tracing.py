@@ -79,7 +79,23 @@ def test_numpy_scalar_couplings_trace_to_float_literals():
 ])
 def test_branching_on_a_traced_value_fails_at_trace_time(branching):
     with pytest.raises(TypeError, match="branched"):
-        compile_traced(branching)
+        compile_traced(branching, "branching")
+
+
+def test_each_trace_compiles_under_its_own_file_name():
+    # profilers key functions by (file, line, name), so traces that shared
+    # a file name would merge into one entry
+    params = ModelParams("na", 2.0, 0.5, 0.25, 0.125)
+    other = replace(params, k2=0.5)
+    h = integral("na", "H")
+    traced = [vector_field(params), vector_field(other),
+              monitors(params)[1], monitor_terms(params),
+              gradient_row(params, h), gradient_row(other, h),
+              gradient_row(params, h, "momentum"),
+              gradient_row(params, integral("na", "Ja2"))]
+    names = [fn.__code__.co_filename for fn in traced]
+    assert len(set(names)) == len(names)
+    assert all(name.startswith("<traced ") for name in names)
 
 
 def _row_functions(params):
