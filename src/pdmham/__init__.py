@@ -20,8 +20,8 @@ from .errors import PdmError
 from .catalog import CATALOG
 from .families import (euclidean_potential, flat_twin, hamiltonian, kinetic,
                        potential, twin_box)
-from .geometry import (curvature_R1212, killing_vector, lie_derivative_metric,
-                       metric, noether_momentum)
+from .geometry import (curvature_R1212, killing_components,
+                       lie_derivative_metric, metric, noether_p1, noether_p2)
 from .observables import family_integrals, integral
 from .phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
                     polar_to_cartesian, sample_points)
@@ -37,8 +37,8 @@ __all__ = [
     "family_integrals", "final_state_distance", "fixed_step_config",
     "flat_twin", "gradient", "gradient_fd", "hamilton_vector_field",
     "hamiltonian", "integral", "integrate", "involution_check",
-    "killing_tensor_check", "killing_vector", "kinetic",
-    "lie_derivative_metric", "metric", "noether_momentum", "poisson_bracket",
-    "poisson_bracket_fd", "polar_to_cartesian", "potential", "sample_points",
-    "scaled_residual", "time_reversal_defect", "twin_box",
+    "killing_components", "killing_tensor_check", "kinetic",
+    "lie_derivative_metric", "metric", "noether_p1", "noether_p2",
+    "poisson_bracket", "poisson_bracket_fd", "polar_to_cartesian", "potential",
+    "sample_points", "scaled_residual", "time_reversal_defect", "twin_box",
 ]

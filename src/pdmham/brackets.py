@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 from .dual import seed, tangent, value
-from .errors import StepTooSmall
 
 EPS = sys.float_info.epsilon
 FD_STEP_FACTOR = EPS ** (1.0 / 3.0)
@@ -56,24 +55,12 @@ def poisson_bracket(F, G, params, point):
     return bracket_value(F, G, params, *point.as_tuple())
 
 
-def _fd_steps(point, h):
-    coords = point.as_tuple()
-    if h is None:
-        return tuple(max(1.0, abs(c)) * FD_STEP_FACTOR for c in coords)
-    if h <= 0.0:
-        raise StepTooSmall(f"h = {h}")
-    floor = 64.0 * EPS * max(1.0, *(abs(c) for c in coords))
-    if h < floor:
-        raise StepTooSmall(f"h = {h} below {floor:.3e}")
-    return (h, h, h, h)
-
-
-def gradient_fd(F, params, point, h=None):
+def gradient_fd(F, params, point):
     """Central-difference gradient; the independent oracle for `gradient`."""
-    steps = _fd_steps(point, h)
     coords = list(point.as_tuple())
     parts = []
-    for i, step in enumerate(steps):
+    for i, c in enumerate(coords):
+        step = max(1.0, abs(c)) * FD_STEP_FACTOR
         hi = list(coords)
         lo = list(coords)
         hi[i] += step
@@ -82,9 +69,9 @@ def gradient_fd(F, params, point, h=None):
     return PhaseGradient(*parts)
 
 
-def poisson_bracket_fd(F, G, params, point, h=None):
-    gf = gradient_fd(F, params, point, h)
-    gg = gradient_fd(G, params, point, h)
+def poisson_bracket_fd(F, G, params, point):
+    gf = gradient_fd(F, params, point)
+    gg = gradient_fd(G, params, point)
     return ((gf.dF_dr * gg.dF_dpr - gf.dF_dpr * gg.dF_dr)
             + (gf.dF_dphi * gg.dF_dpphi - gf.dF_dpphi * gg.dF_dphi))
 
@@ -97,7 +84,7 @@ def bracket_scale(f_val, g_val, point):
     misfire there while this scale tracks the roundoff actually incurred.
     """
     p_scale = max(1.0, abs(point.p_r), abs(point.p_phi))
-    return max(1.0, abs(value(f_val)), abs(value(g_val))) * p_scale * p_scale
+    return max(1.0, abs(f_val), abs(g_val)) * p_scale * p_scale
 
 
 def scaled_residual(F, G, params, point):

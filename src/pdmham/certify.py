@@ -199,17 +199,16 @@ def independence_stats(params, sample, names=None, points=None):
     names = names or lookup(params.family).triple
     if not 2 <= len(names) <= 4:
         raise ValueError("rank check takes 2 to 4 functions")
-    failures = []
-    hits = 0
-    for pt, *rows in zip(points, *(_rows(
-            params, integral(params.family, n), points) for n in names)):
-        sv = np.linalg.svd([row[1:] for row in rows], compute_uv=False)
-        if sv[0] != 0.0 and np.sum(
-                sv > RANK_REL_THRESHOLD * sv[0]) == len(names):
-            hits += 1
-        else:
-            failures.append((pt, tuple(float(s) for s in sv)))
-    return hits / len(points), tuple(failures)
+    # the partials of every function at every point, stacked (N, k, 4), so
+    # one SVD call gives each point's singular values, largest first
+    partials = np.array([_rows(params, integral(params.family, n), points)
+                         for n in names])[:, :, 1:].transpose(1, 0, 2)
+    sv = np.linalg.svd(partials, compute_uv=False)
+    full = ((sv[:, 0] != 0.0) & (np.sum(
+        sv > RANK_REL_THRESHOLD * sv[:, :1], axis=1) == len(names))).tolist()
+    failures = tuple((pt, tuple(s)) for pt, s, ok
+                     in zip(points, sv.tolist(), full) if not ok)
+    return sum(full) / len(points), failures
 
 
 def killing_tensor_check(params, sample, points=None):

@@ -11,12 +11,11 @@ invalid parameters, 3 integration aborted early (partial CSV still
 written).  `build_parser` declares each flag once, with its default.
 Every flag can instead come from a flat JSON config file (`--config`),
 whose numbers and strings parse as if typed; explicit flags override file
-values.  PDM_SEED provides the seed default.
+values.  The sampling seed defaults to 0.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .catalog import CATALOG
@@ -33,16 +32,6 @@ EXIT_ABORT = 3
 # n = 0 reduction targets for the four flat-plane reference tags
 XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
                    if fam.reduction}
-
-
-def _seed(args, parser):
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("PDM_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"PDM_SEED must be an integer, got {raw!r}")
 
 
 def _params(family, n, args, parser):
@@ -71,7 +60,7 @@ def cmd_check(args, parser):
     params = _params(args.family, args.n, args, parser)
     try:
         sample = SampleConfig(count=args.samples,
-                              box=DomainBox(seed=_seed(args, parser)))
+                              box=DomainBox(seed=args.seed))
         cert = certificate(params, sample, corrupt=args.corrupt)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
@@ -134,7 +123,7 @@ def cmd_xcheck(args, parser):
     if which not in XCHECK_FAMILIES:
         parser.error(f"unknown tag {which!r} (choose from a, b, c, d)")
     params = _params(XCHECK_FAMILIES[which], 0.0, args, parser)
-    box = twin_box(params, _seed(args, parser))
+    box = twin_box(params, args.seed)
     try:
         points = sample_points(params, box, args.samples)
         residual = identity_residual(params, "flat_twin", flat_twin, points)
@@ -175,7 +164,7 @@ def build_parser():
                          required=("family", "n"))
     _model_flags(p_check)
     p_check.add_argument("--samples", type=int, default=SampleConfig.count)
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out")
     p_check.add_argument("--corrupt", metavar="INTEGRAL",
                          help="debug: corrupt one integral so the "
@@ -203,7 +192,7 @@ def build_parser():
     p_x.add_argument("--which", choices=tuple(XCHECK_FAMILIES))
     _couplings(p_x, (1.0, 0.7, 0.4))
     p_x.add_argument("--samples", type=int, default=1000)
-    p_x.add_argument("--seed", type=int)
+    p_x.add_argument("--seed", type=int, default=0)
     p_x.add_argument("--config")
 
     return parser

@@ -3,7 +3,8 @@
 The slots track partials with respect to (r, phi, p_r, p_phi), one forward
 pass per gradient.  Tangent entries use the same arithmetic as the value, so
 a Dual whose value is itself a Dual carries exact second derivatives; the
-curvature check relies on that.
+curvature check relies on that.  Besides arithmetic and real powers, `sin`
+and `cos` are the only functions: the formulas take no other.
 
 Tangent arithmetic is unrolled over the four fixed slots; the unrolled
 forms are about twice as fast as tuple comprehensions.
@@ -118,7 +119,7 @@ def seed(r, phi, p_r, p_phi):
             Dual(p_r, _UNITS[2]), Dual(p_phi, _UNITS[3]))
 
 
-# sin, cos and sqrt hand a scalar that math rejects but that implements the
+# sin and cos hand a scalar that math rejects but that implements the
 # function itself (the recording scalar of `tracing`) to its own method
 
 
@@ -146,21 +147,6 @@ def cos(x):
         if not hasattr(x, "cos"):
             raise
     return x.cos()
-
-
-def sqrt(x):
-    if isinstance(x, Dual):
-        root = sqrt(x.val)
-        half = 0.5 / root
-        t = x.tan
-        return Dual(root,
-                    (half * t[0], half * t[1], half * t[2], half * t[3]))
-    try:
-        return math.sqrt(x)
-    except TypeError:
-        if not hasattr(x, "sqrt"):
-            raise
-    return x.sqrt()
 
 
 def second_derivative(f, x0):

@@ -40,7 +40,7 @@ STEP_FAILURE = "StepFailure"
 # a step that leaves this radial range ends the run as SingularityApproach
 R_GUARD_MIN = 1e-3
 R_GUARD_MAX = 1e3
-# relative monitor drift above which `drift_report` flags a monitor
+# relative monitor drift above which the certificate's drift check fails
 DRIFT_TOL = 1e-6
 
 # the tolerances inside are the configured ones times this factor, chosen
@@ -337,27 +337,19 @@ def integrate(params, initial, config=None):
 @dataclass(frozen=True)
 class MonitorDrift:
     name: str
-    initial: float
-    max_abs_drift: float
     rel_drift: float
-    flagged: bool
 
 
 @dataclass(frozen=True)
 class DriftReport:
     drifts: tuple
-    tolerance: float
-
-    @property
-    def exceeded(self):
-        return tuple(d.name for d in self.drifts if d.flagged)
 
     @property
     def worst(self):
         return max((d.rel_drift for d in self.drifts), default=0.0)
 
 
-def drift_report(trajectory, tolerance=DRIFT_TOL, terms=None):
+def drift_report(trajectory, terms=None):
     """Per-monitor drift relative to max(1, |initial value|), and also to
     the largest size of the monitor's terms along the trajectory when
     `terms` is a row function like `tracing.monitor_terms(params)`."""
@@ -371,21 +363,17 @@ def drift_report(trajectory, tolerance=DRIFT_TOL, terms=None):
     for (name, series), size in zip(trajectory.monitors.items(), sizes):
         j0 = series[0]
         max_abs = float(np.max(np.abs(series - j0)))
-        rel = max_abs / max(1.0, abs(j0), size)
-        drifts.append(MonitorDrift(name, float(j0), max_abs, rel,
-                                   rel > tolerance))
-    return DriftReport(drifts=tuple(drifts), tolerance=tolerance)
+        drifts.append(MonitorDrift(name, max_abs / max(1.0, abs(j0), size)))
+    return DriftReport(drifts=tuple(drifts))
 
 
-def time_reversal_defect(params, initial, config=None, forward=None):
+def time_reversal_defect(params, initial, config=None):
     """Max coordinate defect of the forward/backward round trip.
 
-    Pass a precomputed forward trajectory to skip re-integration.  Returns
-    None when either leg stops before its horizon (the round trip is then
-    undefined).
+    Returns None when either leg stops before its horizon (the round trip
+    is then undefined).
     """
-    if forward is None:
-        forward = integrate(params, initial, config)
+    forward = integrate(params, initial, config)
     if forward.termination != COMPLETED:
         return None
     turn = forward.final()

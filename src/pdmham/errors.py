@@ -47,7 +47,3 @@ class NoQuadraticIntegral(PdmError):
 
 class EmptyTrajectory(PdmError):
     pass
-
-
-class StepTooSmall(PdmError):
-    pass

@@ -1,9 +1,12 @@
 """Conformal metric r^{-2n}(dr^2 + r^2 dphi^2): isometries, Noether momenta,
-Lie-derivative residuals, and the curvature component R_1212."""
+Lie-derivative residuals, and the curvature component R_1212.
+
+`killing_components` selects the Killing fields X1, X2 and XJ by tag; their
+Noether momenta are `noether_p1`, `noether_p2` and p_phi itself."""
 
 from dataclasses import dataclass
 
-from .dual import Dual, cos, second_derivative, seed, sin, tangent, value
+from .dual import cos, second_derivative, seed, sin, tangent, value
 from .errors import RadiusNonPositive
 
 KILLING_TAGS = ("X1", "X2", "XJ")
@@ -15,12 +18,6 @@ class MetricComponents:
 
     g_rr: float
     g_phiphi: float
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    v_r: float
-    v_phi: float
 
 
 def metric(n, r):
@@ -43,23 +40,15 @@ def killing_components(tag, n):
     raise ValueError(f"unknown Killing tag {tag!r}")
 
 
-def killing_vector(tag, n, point):
-    v_r, v_phi = killing_components(tag, n)
-    return TangentVector(v_r=value(v_r(point.r, point.phi)),
-                         v_phi=value(v_phi(point.r, point.phi)))
-
-
 def lie_derivative_metric(field, n, point):
     """Components ((L_X g)_rr, (L_X g)_rphi, (L_X g)_phiphi) at a point.
 
-    `field` is either a Killing tag or a pair of component callables; the
-    metric and field derivatives come from one dual-number pass.  For the
-    three Killing fields every component vanishes to roundoff.
+    `field` is a pair of component functions, as `killing_components`
+    returns; the metric and field derivatives come from one dual-number
+    pass.  For the three Killing fields every component vanishes to
+    roundoff.
     """
-    if isinstance(field, str):
-        vr_f, vphi_f = killing_components(field, n)
-    else:
-        vr_f, vphi_f = field
+    vr_f, vphi_f = field
     if point.r <= 0.0:
         raise RadiusNonPositive(f"r = {point.r}")
     r, phi, _, _ = seed(point.r, point.phi, 0.0, 0.0)
@@ -118,15 +107,3 @@ def noether_p2(n, r, phi, p_r, p_phi):
     """P2, the Noether momentum of X2, over generic scalars."""
     u = (n - 1.0) * phi
     return r ** n * (p_r * sin(u) - p_phi * cos(u) / r)
-
-
-def noether_momentum(tag, n, point):
-    """Noether momentum value of one Killing field at a phase point."""
-    r, phi, p_r, p_phi = point.as_tuple()
-    if tag == "X1":
-        return noether_p1(n, r, phi, p_r, p_phi)
-    if tag == "X2":
-        return noether_p2(n, r, phi, p_r, p_phi)
-    if tag == "XJ":
-        return p_phi
-    raise ValueError(f"unknown Killing tag {tag!r}")

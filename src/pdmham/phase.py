@@ -66,9 +66,6 @@ class ModelParams:
     def k_n(self):
         return self.n - 1.0
 
-    def couplings(self):
-        return (self.k0, self.k1, self.k2)
-
 
 @dataclass(frozen=True)
 class DomainBox:
@@ -88,6 +85,10 @@ class DomainBox:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("r_min", "r_max", "phi_min", "phi_max", "p_max",
+                     "phi_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if self.phi_margin <= 0.0:

@@ -20,8 +20,10 @@ function, variant).  F comes from the float trace of F, as in the monitor
 row, because the value part of a dual can differ from the float path by
 an ulp; the partials come from the tangents of one seeded dual pass.
 
-`Sym` has no truth value and no comparisons, so a formula that branches on
-a traced value fails while tracing instead of compiling one branch.
+`Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
+all the formulas and `Dual` take.  It has no truth value and no
+comparisons, so a formula that branches on a traced value fails while
+tracing instead of compiling one branch.
 """
 
 import functools
@@ -33,8 +35,8 @@ from .families import hamiltonian
 from .observables import corruption, family_integrals, integral
 
 _COORDS = ("r", "phi", "p_r", "p_phi")
-_GLOBALS = {"sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
-            "inf": math.inf, "nan": math.nan}
+_GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
+            "nan": math.nan}
 
 
 def _atom(x):
@@ -114,9 +116,6 @@ class Sym:
 
     def cos(self):
         return self._emit(f"cos({self.name})", self)
-
-    def sqrt(self):
-        return self._emit(f"sqrt({self.name})", self)
 
     def __abs__(self):
         return self._emit(f"abs({self.name})", self)

@@ -9,7 +9,6 @@ from pdmham.brackets import (bracket_scale, bracket_value, gradient,
                              gradient_fd, poisson_bracket, poisson_bracket_fd,
                              scaled_residual)
 from pdmham.dual import cos, sin
-from pdmham.errors import StepTooSmall
 from pdmham.families import hamiltonian
 from pdmham.observables import integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
@@ -122,14 +121,6 @@ def test_gradient_matches_fd():
     want = gradient_fd(hamiltonian, PARAMS, POINT)
     for a, b in zip(got.as_tuple(), want.as_tuple()):
         assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
-
-
-def test_fd_step_validation():
-    with pytest.raises(StepTooSmall):
-        gradient_fd(hamiltonian, PARAMS, POINT, h=0.0)
-    with pytest.raises(StepTooSmall):
-        gradient_fd(hamiltonian, PARAMS, POINT, h=1e-18)
-    gradient_fd(hamiltonian, PARAMS, POINT, h=1e-6)
 
 
 def test_conserved_integrals_have_tiny_residuals():

@@ -2,16 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from pdmham.catalog import CATALOG
+from pdmham.catalog import CATALOG, lookup
 from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig,
                             bracket_residual_suite, certificate,
                             corruption_suite, independence_stats,
                             involution_check, killing_tensor_check)
 from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
                            UnknownIntegral)
+from pdmham.observables import integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
+from pdmham.tracing import gradient_row
 
 COUPLINGS = (1.0, 0.6, 0.35)
 
@@ -122,6 +125,31 @@ def test_independence_rank_detects_degeneracy():
     assert sv[0] > 0.0 and sv[1] <= RANK_REL_THRESHOLD * sv[0]
     with pytest.raises(ValueError):
         independence_stats(params, None, ("J2",), [pt])
+
+
+@pytest.mark.parametrize("family,n,names", [
+    ("nc", 2.0, None), ("nc1", 3.0, None), ("nd", 3.0, None),
+    ("na", 2.0, None), ("na_prime", -1.0, None), ("nc", 2.0, ("J2", "J2")),
+    ("nb", 2.0, ("H", "Jb1", "Jb2", "Jb3")),
+])
+def test_independence_matches_a_per_point_svd(family, n, names):
+    # one SVD per point, as the rank rule reads; the stacked call must give
+    # the same fraction and the same failures, singular values bit for bit
+    params = ModelParams(family, n, *COUPLINGS)
+    names = names or lookup(family).triple
+    points = sample_points(params, DomainBox(seed=5), 300)
+    rows = [gradient_row(params, integral(family, name)) for name in names]
+    hits, failures = 0, []
+    for pt in points:
+        sv = np.linalg.svd([row(*pt.as_tuple())[1:] for row in rows],
+                           compute_uv=False)
+        if sv[0] != 0.0 and np.sum(
+                sv > RANK_REL_THRESHOLD * sv[0]) == len(names):
+            hits += 1
+        else:
+            failures.append((pt, tuple(float(s) for s in sv)))
+    want = (hits / len(points), tuple(failures))
+    assert independence_stats(params, None, names, points) == want
 
 
 def test_claimed_triples_independent():

@@ -243,26 +243,17 @@ def test_config_malformed_json_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-def test_pdm_seed_env_default(tmp_path, monkeypatch, capsys):
+def test_seed_defaults_to_zero_and_config_sets_it(tmp_path, capsys):
     argv = ["xcheck", "--which", "a", "--samples", "50"]
-    monkeypatch.setenv("PDM_SEED", "3")
-    assert run(argv) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.setenv("PDM_SEED", "4")
-    assert run(argv) == 0
-    other_env = capsys.readouterr().out
-    assert with_env != other_env
-    # explicit flag wins over the environment
-    monkeypatch.setenv("PDM_SEED", "4")
-    assert run([*argv, "--seed", "3"]) == 0
-    assert capsys.readouterr().out == with_env
-
-
-def test_pdm_seed_invalid(monkeypatch):
-    monkeypatch.setenv("PDM_SEED", "zebra")
-    with pytest.raises(SystemExit) as exc:
-        run(["xcheck", "--which", "a", "--samples", "50"])
-    assert exc.value.code == 2
+    outputs = []
+    for extra in ([], ["--seed", "0"], ["--seed", "3"]):
+        assert run([*argv, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    assert run([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == outputs[2]
 
 
 def test_no_subcommand_is_usage_error():

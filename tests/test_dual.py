@@ -30,7 +30,6 @@ def test_plain_scalar_helpers():
     assert tangent(3.5) == (0.0, 0.0, 0.0, 0.0)
     assert dual.sin(0.0) == 0.0
     assert dual.cos(0.0) == 1.0
-    assert dual.sqrt(4.0) == 2.0
 
 
 @pytest.mark.parametrize("f,df", [
@@ -41,7 +40,6 @@ def test_plain_scalar_helpers():
     (lambda x: 7.0 / x, lambda x: -7.0 / (x * x)),
     (dual.sin, math.cos),
     (dual.cos, lambda x: -math.sin(x)),
-    (dual.sqrt, lambda x: 0.5 / math.sqrt(x)),
     (lambda x: dual.sin(x) / dual.cos(x), lambda x: 1.0 / math.cos(x) ** 2),
     (lambda x: x * dual.sin(x * x),
      lambda x: math.sin(x * x) + 2.0 * x * x * math.cos(x * x)),
@@ -92,8 +90,8 @@ def test_product_rule_property(a, b):
 @settings(max_examples=100, deadline=None)
 @given(finite)
 def test_chain_rule_property(a):
-    f = lambda x: dual.sqrt(x * x + a)
-    df = lambda x: x / math.sqrt(x * x + a)
+    f = lambda x: dual.sin(x * x + a)
+    df = lambda x: 2.0 * x * math.cos(x * x + a)
     x0 = 0.9
     assert grad1(f, x0) == pytest.approx(df(x0), rel=1e-12, abs=1e-12)
 
@@ -101,7 +99,7 @@ def test_chain_rule_property(a):
 def test_nested_value_unwraps():
     nested = Dual(Dual(4.0, (1.0, 0.0, 0.0, 0.0)), (Dual(1.0), 0.0, 0.0, 0.0))
     assert value(nested) == 4.0
-    assert value(dual.sqrt(nested)) == 2.0
+    assert value(dual.sin(nested)) == math.sin(4.0)
 
 
 def test_repr_round_trips():

@@ -225,7 +225,7 @@ def test_integral_drift_tracks_h_drift():
     traj = integrate(params, PhasePoint(1.1, 1.0, 0.4, 0.7),
                      IntegratorConfig(t_end=20.0))
     assert traj.termination == COMPLETED
-    rep = drift_report(traj, tolerance=1e-6)
+    rep = drift_report(traj)
     by_name = {d.name: d for d in rep.drifts}
     h_floor = max(by_name["H"].rel_drift, 1e-14)
     for name in ("Jd2", "Jd3"):
@@ -298,20 +298,13 @@ def test_reversal_round_trip():
         assert defect <= 100.0 * config.rtol
 
 
-def test_reversal_reuses_forward_and_handles_early_stop():
-    params = ModelParams("nd", 3.0, 1.0, 0.5, -0.3)
-    config = IntegratorConfig(t_end=10.0)
-    forward = integrate(params, PhasePoint(1.1, 1.0, 0.4, 0.7), config)
-    d1 = time_reversal_defect(params, PhasePoint(1.1, 1.0, 0.4, 0.7),
-                              config, forward=forward)
-    assert d1 is not None and d1 <= 1e-8
+def test_reversal_handles_early_stop():
     # guard-stopped run: no round trip defined
     kepler = ModelParams("nc", 0.0, -1.0, 0.0, 0.0)
     infall = PhasePoint(1.0, 1.0, 0.0, 0.0)
-    stopped = integrate(kepler, infall, IntegratorConfig(t_end=50.0))
-    assert stopped.termination == SINGULARITY
-    assert time_reversal_defect(kepler, infall, IntegratorConfig(t_end=50.0),
-                                forward=stopped) is None
+    config = IntegratorConfig(t_end=50.0)
+    assert integrate(kepler, infall, config).termination == SINGULARITY
+    assert time_reversal_defect(kepler, infall, config) is None
 
 
 def test_fixed_step_matches_adaptive():
@@ -346,7 +339,6 @@ def test_drift_report_constant_monitor():
     traj = _manual_trajectory({"C": np.full(5, 3.7)})
     rep = drift_report(traj)
     assert rep.worst == 0.0
-    assert rep.exceeded == ()
 
 
 def test_drift_report_flags_and_filters():
@@ -354,8 +346,8 @@ def test_drift_report_flags_and_filters():
         "good": np.full(5, 2.0),
         "bad": np.array([1.0, 1.0, 1.0, 1.0, 1.5]),
     })
-    rep = drift_report(traj, tolerance=1e-3)
-    assert rep.exceeded == ("bad",)
+    rep = drift_report(traj)
+    assert [d.name for d in rep.drifts if d.rel_drift > 1e-3] == ["bad"]
     assert rep.worst == pytest.approx(0.5)
 
 
@@ -363,7 +355,6 @@ def test_drift_report_relative_normalization():
     # drift is relative to max(1, |J(0)|)
     traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
     rep = drift_report(traj)
-    assert rep.drifts[0].max_abs_drift == pytest.approx(1.0)
     assert rep.drifts[0].rel_drift == pytest.approx(0.1)
 
 
@@ -371,7 +362,6 @@ def test_drift_report_scales_by_the_size_of_the_terms():
     # drift is relative to max(1, |J(0)|, the largest term size on the row)
     traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
     rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (1e3,))
-    assert rep.drifts[0].max_abs_drift == pytest.approx(1.0)
     assert rep.drifts[0].rel_drift == pytest.approx(1e-3)
     rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (2.0,))
     assert rep.drifts[0].rel_drift == pytest.approx(0.1)

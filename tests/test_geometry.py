@@ -12,9 +12,9 @@ import pytest
 
 from pdmham.errors import RadiusNonPositive
 from pdmham.geometry import (KILLING_TAGS, christoffel_symbols,
-                             curvature_R1212, killing_vector,
-                             lie_derivative_metric, metric, noether_momentum,
-                             noether_p1, noether_p2)
+                             curvature_R1212, killing_components,
+                             lie_derivative_metric, metric, noether_p1,
+                             noether_p2)
 from pdmham.phase import PhasePoint
 
 N_GRID = (-2.0, -1.0, 0.0, 2.0, 3.0, 4.0)
@@ -107,7 +107,8 @@ def test_killing_fields_have_zero_lie_derivative(tag, n):
     for r in R_GRID:
         for phi in (0.3, 1.1, 2.9, 4.4):
             point = PhasePoint(r, phi, 0.0, 0.0)
-            comps = lie_derivative_metric(tag, n, point)
+            comps = lie_derivative_metric(killing_components(tag, n), n,
+                                          point)
             assert max(abs(c) for c in comps) <= 1e-10
 
 
@@ -124,7 +125,6 @@ def test_lie_derivative_matches_fd_on_non_killing_field():
 
 
 def test_lie_derivative_fd_agreement_on_killing_fields():
-    from pdmham.geometry import killing_components
     for tag in KILLING_TAGS:
         for n in (-2.0, 0.0, 3.0):
             vr_f, vphi_f = killing_components(tag, n)
@@ -135,14 +135,13 @@ def test_lie_derivative_fd_agreement_on_killing_fields():
 
 
 def test_killing_vector_components():
-    point = PhasePoint(2.0, 0.0, 0.0, 0.0)
-    x1 = killing_vector("X1", 2.0, point)
-    assert x1.v_r == pytest.approx(4.0)       # r^n cos(0)
-    assert x1.v_phi == pytest.approx(0.0)
-    xj = killing_vector("XJ", 2.0, point)
-    assert (xj.v_r, xj.v_phi) == (0.0, 1.0)
+    v_r, v_phi = killing_components("X1", 2.0)
+    assert v_r(2.0, 0.0) == pytest.approx(4.0)       # r^n cos(0)
+    assert v_phi(2.0, 0.0) == pytest.approx(0.0)
+    v_r, v_phi = killing_components("XJ", 2.0)
+    assert (v_r(2.0, 0.0), v_phi(2.0, 0.0)) == (0.0, 1.0)
     with pytest.raises(ValueError):
-        killing_vector("X9", 2.0, point)
+        killing_components("X9", 2.0)
 
 
 def test_noether_momenta_values():
@@ -150,21 +149,16 @@ def test_noether_momenta_values():
     n = 3.0
     assert noether_p1(n, 2.0, 0.0, 0.5, 0.7) == pytest.approx(4.0)
     assert noether_p2(n, 2.0, 0.0, 0.5, 0.7) == pytest.approx(-2.8)
-    point = PhasePoint(2.0, 0.0, 0.5, 0.7)
-    assert noether_momentum("X1", n, point) == pytest.approx(4.0)
-    assert noether_momentum("X2", n, point) == pytest.approx(-2.8)
-    assert noether_momentum("XJ", n, point) == 0.7
-    with pytest.raises(ValueError):
-        noether_momentum("X0", n, point)
 
 
 def test_killing_momentum_consistency():
     # the momentum of each Killing field is g(X, p-sharp): v^a g_ab p^b
-    # in canonical coordinates reads v_r p_r + v_phi p_phi
-    for tag in KILLING_TAGS:
-        for n in (-1.0, 2.0):
-            point = PhasePoint(1.4, 0.9, 0.6, -0.8)
-            vec = killing_vector(tag, n, point)
-            want = vec.v_r * point.p_r + vec.v_phi * point.p_phi
-            assert noether_momentum(tag, n, point) == pytest.approx(
-                want, rel=1e-12)
+    # in canonical coordinates reads v_r p_r + v_phi p_phi; XJ's is p_phi
+    r, phi, p_r, p_phi = 1.4, 0.9, 0.6, -0.8
+    for n in (-1.0, 2.0):
+        momenta = {"X1": noether_p1(n, r, phi, p_r, p_phi),
+                   "X2": noether_p2(n, r, phi, p_r, p_phi), "XJ": p_phi}
+        for tag in KILLING_TAGS:
+            v_r, v_phi = killing_components(tag, n)
+            want = v_r(r, phi) * p_r + v_phi(r, phi) * p_phi
+            assert momenta[tag] == pytest.approx(want, rel=1e-12)

@@ -69,6 +69,20 @@ def test_domain_box_validation():
         DomainBox(phi_min=3.0, phi_max=1.0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("r_min", math.nan), ("r_max", math.inf), ("phi_min", -math.inf),
+    ("phi_max", math.nan), ("p_max", math.inf), ("phi_margin", math.nan),
+    ("phi_margin", math.inf),
+])
+def test_domain_box_rejects_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        DomainBox(**{field: bad})
+
+
+def test_domain_box_accepts_any_integer_seed():
+    assert DomainBox(seed=10 ** 400).seed == 10 ** 400
+
+
 def test_sampling_deterministic_and_guarded():
     params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
     box = DomainBox(seed=42)

@@ -171,7 +171,6 @@ def argvs(draw):
 def test_pdm_exits_with_a_contract_code(case, tmp_path, monkeypatch):
     argv, config = case
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PDM_SEED", raising=False)
     (tmp_path / "config.json").write_text(
         json.dumps(config).replace("{tmp}", str(tmp_path)))
     argv = [a.format(tmp=tmp_path) for a in argv]
