@@ -1,16 +1,19 @@
 """Phase-space gradients and canonical Poisson brackets.
 
 Certificates bracket gradient rows (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi)
-traced once per function by `tracing.gradient_row`, combined in plain
-floats by `row_bracket` and `row_residual`.  The dual path below (one
-forward dual-number pass per gradient, exact to roundoff) is their oracle:
-the row functions repeat its float operations in its order, so the two
-agree bit for bit.  Central finite differences with per-coordinate steps
+traced once per function by `tracing.gradient_row`, as float64 columns over
+all sample points, combined by `row_bracket` and scaled by `bracket_scale`;
+both take floats or columns alike.  The dual path below (one forward
+dual-number pass per gradient, exact to roundoff) is their oracle: the row
+functions repeat its float operations in its order, so the two agree bit
+for bit.  Central finite differences with per-coordinate steps
 are the independent oracle of the cross-validation suite.
 """
 
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dual import seed, tangent, value
 
@@ -82,9 +85,10 @@ def bracket_scale(f_val, g_val, point):
     Integrals grow like r to large powers near the box edges and like
     1/distance^2 near angular poles; a plain absolute tolerance would
     misfire there while this scale tracks the roundoff actually incurred.
+    Floats or columns: `np.fmax` skips a NaN as `max` does after 1.0.
     """
-    p_scale = max(1.0, abs(point.p_r), abs(point.p_phi))
-    return max(1.0, abs(f_val), abs(g_val)) * p_scale * p_scale
+    p_scale = np.fmax(np.fmax(1.0, abs(point.p_r)), abs(point.p_phi))
+    return np.fmax(np.fmax(1.0, abs(f_val)), abs(g_val)) * p_scale * p_scale
 
 
 def scaled_residual(F, G, params, point):
@@ -101,8 +105,3 @@ def row_bracket(f_row, g_row):
     return ((f_row[1] * g_row[3] - f_row[3] * g_row[1])
             + (f_row[2] * g_row[4] - f_row[4] * g_row[2]))
 
-
-def row_residual(f_row, g_row, point):
-    """`scaled_residual` from two gradient rows at `point`."""
-    return abs(row_bracket(f_row, g_row)) / bracket_scale(
-        f_row[0], g_row[0], point)

@@ -8,11 +8,11 @@ identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
 The checks combine gradient rows of the catalog's own functions, traced
-once per (params, function) by `tracing.gradient_row`, in plain floats,
-and reduce their residuals through `_worst`, which refuses a NaN or an
-infinity.  Every residual is deterministic given (params, sample seed,
-integrator config) and equals its `Dual` bracket oracle bit for bit.
-Tolerances are module constants.
+once per (params, function) by `tracing.gradient_row`, once per certificate
+as float64 columns over the sample (`_Columns`); `_worst` reduces each
+residual array and refuses a NaN or an infinity.  Every residual is
+deterministic given (params, sample seed, integrator config) and equals its
+`Dual` bracket oracle bit for bit.  Tolerances are module constants.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
@@ -21,11 +21,10 @@ was skipped or needs reading guidance), `verdict`.
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
-from .brackets import BRACKET_TOL, bracket_scale, row_bracket, row_residual
+from .brackets import BRACKET_TOL, bracket_scale, row_bracket
 from .catalog import lookup
 from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
 from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
@@ -115,35 +114,64 @@ class Certificate:
                           allow_nan=False)
 
 
-def _points(params, sample):
-    return sample_points(params, sample.box, sample.count)
+class _Columns(list):
+    """Sample points, with their four coordinates as float64 columns and a
+    memo of the gradient rows evaluated on them."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.r, self.phi, self.p_r, self.p_phi = np.array(
+            [pt.as_tuple() for pt in points]).reshape(-1, 4).T
+        self._rows = {}
+
+    def row(self, params, fn, variant=None):
+        """`tracing.gradient_row` on the columns, once per key.  Where numpy
+        flags an overflow, a 0 divide or a NaN, or sin, cos or ** raise or
+        give a non-float, it reruns point by point, raising as it does."""
+        key = (params, fn, variant)
+        if key not in self._rows:
+            row = gradient_row(params, fn, variant)
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    out = row(self.r, self.phi, self.p_r, self.p_phi)
+            except (ArithmeticError, ValueError, TypeError):
+                out = zip(*(row(*pt.as_tuple()) for pt in self))
+            self._rows[key] = tuple(np.broadcast_to(np.asarray(
+                col, dtype=float), self.r.shape) for col in out)
+        return self._rows[key]
 
 
-def _rows(params, fn, points, variant=None):
-    """The gradient row of `fn` (see `tracing.gradient_row`) at each point."""
-    row = gradient_row(params, fn, variant)
-    return [row(*pt.as_tuple()) for pt in points]
+def _columns(params, sample, points=None):
+    """`points` as `_Columns`, drawn from `sample` when None."""
+    if isinstance(points, _Columns):
+        return points
+    if points is None:
+        points = sample_points(params, sample.box, sample.count)
+    return _Columns(points)
 
 
-def _worst(check, residuals):
-    """The largest of (residual, point) pairs, from 0.0; NonFinite names
-    `check` and the point of a NaN or infinite one, which `max` would drop."""
-    worst = 0.0
-    for res, pt in residuals:
-        if not math.isfinite(res):
-            raise NonFinite(f"{check} residual is {res} at the sample point "
-                            f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
-        worst = max(worst, res)
-    return worst
+def _worst(check, residuals, points):
+    """The largest of `residuals`, from 0.0: an array whose first axis runs
+    over `points`.  NonFinite names `check`, the first NaN or infinity in
+    C order, which `max` would drop, and its point."""
+    bad = ~np.isfinite(residuals)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFinite(f"{check} residual is {float(residuals[first])} at "
+                        f"the sample point (r, phi, p_r, p_phi) = "
+                        f"{points[first[0]].as_tuple()}")
+    return float(residuals.max(initial=0.0))
 
 
+@np.errstate(all="ignore")
 def _residuals(params, f, points, g=None, variant=None):
-    """(scaled |{F, G}|, point) at each point, G = H unless given;
-    `variant` applies to F."""
+    """Scaled |{F, G}| at each of the `_Columns` points, G = H unless
+    given; `variant` applies to F."""
     if g is None:
         g = integral(params.family, "H")
-    return zip(map(row_residual, _rows(params, f, points, variant),
-                   _rows(params, g, points), points), points)
+    f_row, g_row = points.row(params, f, variant), points.row(params, g)
+    return abs(row_bracket(f_row, g_row)) / bracket_scale(
+        f_row[0], g_row[0], points)
 
 
 def bracket_residual_suite(params, sample, points=None, corrupt=None):
@@ -152,7 +180,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     `corrupt` names one integral to replace by its +10% corrupted version,
     demonstrating end to end that the harness turns the verdict.
     """
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     if corrupt is not None and corrupt not in family_integrals(params.family):
         raise UnknownIntegral(f"{params.family} does not bind {corrupt!r}")
     out = {}
@@ -164,7 +192,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
                 raise ValueError(
                     f"corruption of single-term integral {obs.name} is inert")
         out[obs.name] = _worst(f"bracket:{obs.name}", _residuals(
-            params, obs, points, variant=part))
+            params, obs, points, variant=part), points)
     return out
 
 
@@ -175,14 +203,13 @@ def involution_check(params, pairs=None, sample=None, points=None):
     small; the other pairwise values are generically nonzero and are
     reported as found.
     """
-    if points is None:
-        points = _points(params, sample or SampleConfig())
+    points = _columns(params, sample or SampleConfig(), points)
     if pairs is None:
         names = [n for n in lookup(params.family).triple if n != "H"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     fam = params.family
     return {f"{a},{b}": _worst(f"involution:{a},{b}", _residuals(
-        params, integral(fam, a), points, integral(fam, b)))
+        params, integral(fam, a), points, integral(fam, b)), points)
         for a, b in pairs}
 
 
@@ -195,14 +222,14 @@ def independence_stats(params, sample, names=None, points=None):
     comparable.  Returns (fraction, failures); each failure carries the
     point and its singular values for inspection.
     """
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     names = names or lookup(params.family).triple
     if not 2 <= len(names) <= 4:
         raise ValueError("rank check takes 2 to 4 functions")
     # the partials of every function at every point, stacked (N, k, 4), so
     # one SVD call gives each point's singular values, largest first
-    partials = np.array([_rows(params, integral(params.family, n), points)
-                         for n in names])[:, :, 1:].transpose(1, 0, 2)
+    partials = np.array([points.row(params, integral(params.family, n))[1:]
+                         for n in names]).transpose(2, 0, 1)
     sv = np.linalg.svd(partials, compute_uv=False)
     full = ((sv[:, 0] != 0.0) & (np.sum(
         sv > RANK_REL_THRESHOLD * sv[:, :1], axis=1) == len(names))).tolist()
@@ -223,10 +250,11 @@ def killing_tensor_check(params, sample, points=None):
     if not quadratics:
         raise NoQuadraticIntegral(
             f"{params.family} binds no quadratic integral")
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    return _worst("killing_tensor", chain.from_iterable(
-        _residuals(zeroed, obs, points) for obs in quadratics))
+    # integral by integral, so NonFinite names the first in that order
+    return max(_worst("killing_tensor", _residuals(zeroed, obs, points),
+                      points) for obs in quadratics)
 
 
 def _rel(lhs, rhs, terms=0.0):
@@ -236,37 +264,41 @@ def _rel(lhs, rhs, terms=0.0):
 def identity_residual(params, name, fn, points):
     """Worst gap of `fn`'s (lhs, rhs) pairs, each relative to max(1, |LHS|,
     |RHS|), or also to a third entry, the size of the terms, where a pair
-    carries one; `name` labels the check."""
-    return _worst(f"identity:{name}", (
-        (_rel(*pair), pt) for pt in points
-        for pair in fn(params, *pt.as_tuple())))
+    carries one; `name` labels the check.  Point by point: the flat twin
+    of `pdm xcheck` branches on values, so it cannot be traced."""
+    return _worst(f"identity:{name}", np.array([
+        [_rel(*pair) for pair in fn(params, *pt.as_tuple())]
+        for pt in points]), points)
 
 
 def identity_suite(params, sample, points=None):
     """Structural identities (see `identity_residual`): the kinetic-Noether
     identity for every family, then the family's own."""
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     identities = ((("kinetic_noether", kinetic_noether),)
                   + lookup(params.family).identities)
     return {name: identity_residual(params, name, fn, points)
             for name, fn in identities}
 
 
+@np.errstate(all="ignore")
 def algebra_check(params, sample, points=None):
     """The closed bracket relations {A, B} = rhs the family carries (the
     third integral and the Runge-Lenz pair of the single-angle oscillator
     family); empty for families that carry none."""
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     out = {}
     for name, a, b, rhs in lookup(params.family).algebra:
-        rows = zip(points, _rows(params, integral(params.family, a), points),
-                   _rows(params, integral(params.family, b), points))
-        out[name] = _worst(f"algebra:{name}", (
-            (abs(row_bracket(fa, fb) - rhs(params, *pt.as_tuple()))
-             / bracket_scale(fa[0], fb[0], pt), pt) for pt, fa, fb in rows))
+        fa = points.row(params, integral(params.family, a))
+        fb = points.row(params, integral(params.family, b))
+        target = np.array([rhs(params, *pt.as_tuple()) for pt in points])
+        out[name] = _worst(f"algebra:{name}", abs(
+            row_bracket(fa, fb) - target) / bracket_scale(
+            fa[0], fb[0], points), points)
     return out
 
 
+@np.errstate(all="ignore")
 def evolution_law_check(params, sample, points=None):
     """Complex evolution laws of the factor functions against H.
 
@@ -277,24 +309,24 @@ def evolution_law_check(params, sample, points=None):
     carry no complex factor.
     """
     fam = lookup(params.family)
-    points = points if points is not None else _points(params, sample)
-    h_rows = _rows(params, integral(params.family, "H"), points)
+    points = _columns(params, sample, points)
+    h = points.row(params, integral(params.family, "H"))
     out = {}
     for label, (re, im), rate in fam.laws:
-        # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re
-        res = []
-        for pt, h, zr, zi in zip(points, h_rows, _rows(params, re, points),
-                                 _rows(params, im, points)):
-            c = rate(params, pt)
-            scale = bracket_scale(math.hypot(zr[0], zi[0]), h[0], pt)
-            res += [(abs(row_bracket(zr, h) + c * zi[0]) / scale, pt),
-                    (abs(row_bracket(zi, h) - c * zr[0]) / scale, pt)]
-        out[f"{label}_law"] = _worst(f"evolution:{label}_law", res)
+        zr, zi = points.row(params, re), points.row(params, im)
+        c = np.array([rate(params, pt) for pt in points])
+        scale = bracket_scale(np.array(list(map(
+            math.hypot, zr[0].tolist(), zi[0].tolist()))), h[0], points)
+        # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re;
+        # each point's Re residual, then its Im residual
+        res = np.stack([abs(row_bracket(zr, h) + c * zi[0]) / scale,
+                        abs(row_bracket(zi, h) - c * zr[0]) / scale], 1)
+        out[f"{label}_law"] = _worst(f"evolution:{label}_law", res, points)
     if fam.conserved_product:
-        out["product_conserved"] = _worst(
-            "evolution:product_conserved", chain.from_iterable(
-                _residuals(params, part, points)
-                for part in fam.conserved_product))
+        out["product_conserved"] = max(
+            _worst("evolution:product_conserved", _residuals(
+                params, part, points), points)
+            for part in fam.conserved_product)
     return out
 
 
@@ -320,7 +352,7 @@ def _corruption_part(obs, params, probe_points):
 def corruption_suite(params, sample, points=None):
     """Max scaled residual of each corrupted integral; the harness is
     sensitive when every non-inert corruption lands well above tolerance."""
-    points = points if points is not None else _points(params, sample)
+    points = _columns(params, sample, points)
     results = {}
     inert = []
     for obs in lookup(params.family).bound:
@@ -329,7 +361,8 @@ def corruption_suite(params, sample, points=None):
             inert.append(obs.name)
             continue
         res = _residuals(params, obs, points, variant=part)
-        results[obs.name] = _worst(f"negative_control:{obs.name}", res)
+        results[obs.name] = _worst(f"negative_control:{obs.name}", res,
+                                   points)
     return results, tuple(inert)
 
 
@@ -359,7 +392,7 @@ def certificate(params, sample=None, config=None, corrupt=None):
         raise DegenerateN("n = 1 degenerate (k_n = 0): P2 = -Pphi")
     sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
-    points = _points(params, sample)
+    points = _columns(params, sample)
     try:
         _require_finite(params, points)
         checks = tuple(_checks(params, sample, config, points, corrupt))

@@ -18,7 +18,10 @@ A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of a function the
 catalog holds feeds the sampled certificate checks, cached per (params,
 function, variant).  F comes from the float trace of F, as in the monitor
 row, because the value part of a dual can differ from the float path by
-an ulp; the partials come from the tangents of one seeded dual pass.
+an ulp; the partials come from the tangents of one seeded dual pass.  On
+float64 columns a row gives the floats it gives point by point: numpy's
+`+ - * / abs` round as Python's, but `sin`, `cos` and `**` map math's over
+the elements, as numpy's own can be an ulp off on some hosts.
 
 `Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
 all the formulas and `Dual` take.  It has no truth value and no
@@ -30,6 +33,8 @@ import functools
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from .dual import seed, tangent
 from .families import hamiltonian
 from .observables import corruption, family_integrals, integral
@@ -37,6 +42,20 @@ from .observables import corruption, family_integrals, integral
 _COORDS = ("r", "phi", "p_r", "p_phi")
 _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
             "nan": math.nan}
+
+
+def _elementwise(fn):
+    """fn on floats, or mapped over the elements of float64 columns."""
+    def call(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args)
+        cols = [c.tolist() for c in np.broadcast_arrays(*args)]
+        return np.fromiter(map(fn, *cols), float, len(cols[0]))
+    return call
+
+
+_COLUMN_GLOBALS = dict(_GLOBALS, sin=_elementwise(math.sin),
+                       cos=_elementwise(math.cos), pow=_elementwise(pow))
 
 
 def _atom(x):
@@ -127,22 +146,25 @@ class Sym:
     __hash__ = None
 
 
-def compile_traced(fn, label):
+def compile_traced(fn, label, columns=False):
     """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function
     of the same four coordinates that returns the same tuple of floats.
     It is compiled under the file name `<traced label>`, so profiles list
-    each trace on its own."""
+    each trace on its own.  With `columns`, `sin`, `cos` and `**` are
+    element-wise, for float64 columns (see the module docstring)."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
     body = []
     for expr, sym in reversed(tape.items()):
         if sym.name in live:
+            if columns and " ** " in expr:
+                expr = "pow({}, {})".format(*expr.split(" ** "))
             body.append(f"    {sym.name} = {expr}")
             live.update(sym.operands)
     head = f"def traced({', '.join(_COORDS)}):"
     ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
-    namespace = dict(_GLOBALS)
+    namespace = dict(_COLUMN_GLOBALS if columns else _GLOBALS)
     source = "\n".join([head] + body[::-1] + [ret])
     exec(compile(source, f"<traced {label}>", "exec"), namespace)
     return namespace["traced"]
@@ -203,7 +225,8 @@ def _row(fn, params, r, phi, p_r, p_phi):
 @functools.lru_cache(maxsize=512)
 def gradient_row(params, fn, variant=None):
     """Compiled row(r, phi, p_r, p_phi) -> (F, dF/dr, dF/dphi, dF/dp_r,
-    dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi).
+    dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi), at one point or on
+    float64 columns (where an entry no coordinate reaches stays a float).
 
     `fn` is a function as the catalog holds it: an `Integral`, H or T
     (`observables.integral`), a part of a complex factor in `laws` or
@@ -216,4 +239,5 @@ def gradient_row(params, fn, variant=None):
     if variant is not None:
         fn = corruption(fn, params, variant)
     return compile_traced(functools.partial(_row, fn, params),
-                          f"gradient_row {name} {variant} {params}")
+                          f"gradient_row {name} {variant} {params}",
+                          columns=True)

@@ -1,15 +1,19 @@
 """Certificate assembly: checks, serialization, determinism, controls."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pdmham.brackets import row_bracket
 from pdmham.catalog import CATALOG, lookup
-from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig,
+from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
                             bracket_residual_suite, certificate,
-                            corruption_suite, independence_stats,
-                            involution_check, killing_tensor_check)
+                            corruption_suite, evolution_law_check,
+                            independence_stats, involution_check,
+                            killing_tensor_check)
 from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
                            UnknownIntegral)
 from pdmham.observables import integral
@@ -212,3 +216,123 @@ def test_certificate_refuses_geodesic_at_n_equal_one():
     params = ModelParams("geodesic", 1.0)
     with pytest.raises(DegenerateN, match="P2 = -Pphi"):
         certificate(params, _sample(count=10))
+
+
+@pytest.mark.parametrize("family", ["nc1", "nd"])
+def test_plain_point_lists_give_the_certificate_checks(family):
+    # the benchmark's traced mode calls each public check with the plain
+    # list `sample_points` returns, where the certificate hands them its
+    # columns; both must give its numbers bit for bit
+    params = ModelParams(family, 3.0, *COUPLINGS)
+    sample = _sample(count=300, seed=2)
+    cert = certificate(params, sample)
+    points = sample_points(params, sample.box, sample.count)
+    fam = lookup(family)
+
+    def residual(name):
+        return cert.check(name).max_residual
+
+    for name, res in bracket_residual_suite(params, sample, points).items():
+        assert res == residual(f"bracket:{name}")
+    fraction, failures = independence_stats(params, sample, points=points)
+    assert 1.0 - fraction == residual("independence:" + ",".join(fam.triple))
+    assert killing_tensor_check(params, sample, points) == residual(
+        "killing_tensor")
+    for name, res in evolution_law_check(params, sample, points).items():
+        assert res == residual(f"evolution:{name}")
+    results, inert = corruption_suite(params, sample, points)
+    assert min(results.values()) == residual("negative_control")
+    # what the certificate reports only in part, against its columns
+    cols = _Columns(points)
+    assert (fraction, failures) == independence_stats(params, sample,
+                                                      points=cols)
+    assert (results, inert) == corruption_suite(params, sample, cols)
+    assert involution_check(params, sample=sample, points=points) == \
+        involution_check(params, sample=sample, points=cols)
+
+
+def _scale(f_val, g_val, pt):
+    # `bracket_scale` as the per-point loops wrote it, with Python's max
+    p_scale = max(1.0, abs(pt.p_r), abs(pt.p_phi))
+    return max(1.0, abs(f_val), abs(g_val)) * p_scale * p_scale
+
+
+def _first_non_finite(check, residuals):
+    """The message of the first non-finite of (residual, point) pairs."""
+    for res, pt in residuals:
+        if not math.isfinite(res):
+            return (f"{check} residual is {res} at the sample point "
+                    f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
+    raise AssertionError("every residual is finite")
+
+
+# nd at n = 3 on points whose momenta overflow some products: at KILL_A
+# only Jd3's Killing residual is NaN, at KILL_B only Jd2's; at LAW_C only
+# the imaginary part of A's evolution law is, at LAW_D both parts are.
+# At OVER, p_r^2 overflows in H's row itself.
+KILL_A = PhasePoint(1.4060437130641332, 4.485786409487792,
+                    7.171529497132565e+86, 2.7306310718180717e+102)
+KILL_B = PhasePoint(0.9292611130851894, 2.101261038756727,
+                    1.2281448792580553e+151, 827854.6665747898)
+LAW_C = PhasePoint(1.323074624061338, 4.650343185711942,
+                   -1.8578301846176342e+35, 8.853737327185889e+131)
+LAW_D = PhasePoint(1.632350456339198, 0.7764499405757049,
+                   -4.813069464087886e+80, -1.689067392305431e+125)
+OVER = PhasePoint(1.1, 1.0, 1e160, 0.5)
+
+
+def _nd_points(*odd):
+    """nd at n = 3 on a sample point before each of `odd` and OVER; the
+    overflow at OVER sends H's row to its point-by-point fallback."""
+    params = ModelParams("nd", 3.0, *COUPLINGS)
+    odd += (OVER,)
+    fine = sample_points(params, DomainBox(seed=1), len(odd))
+    points = [pt for pair in zip(fine, odd) for pt in pair]
+    columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
+    for row_params in (params, replace(params, k0=0.0, k1=0.0, k2=0.0)):
+        with pytest.raises(FloatingPointError), np.errstate(all="raise"):
+            gradient_row(row_params, integral("nd", "H"))(*columns)
+    return params, points
+
+
+def test_killing_names_the_first_non_finite_integral_by_integral():
+    # one integral after another: Jd2's NaN at KILL_B comes before Jd3's
+    # at the earlier point KILL_A
+    params, points = _nd_points(KILL_A, KILL_B)
+    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
+    h = gradient_row(zeroed, integral("nd", "H"))
+
+    def pairs():
+        for obs in lookup("nd").bound:
+            row = gradient_row(zeroed, obs)
+            for pt in points:
+                f, g = row(*pt.as_tuple()), h(*pt.as_tuple())
+                yield abs(row_bracket(f, g)) / _scale(f[0], g[0], pt), pt
+    want = _first_non_finite("killing_tensor", pairs())
+    assert "= (0.929" in want
+    with pytest.raises(NonFinite) as exc:
+        killing_tensor_check(params, None, points)
+    assert str(exc.value) == want
+
+
+def test_evolution_law_names_the_first_non_finite_point_re_then_im():
+    # point by point, Re then Im: the imaginary part's NaN at LAW_C comes
+    # before the real part's at the later point LAW_D
+    params, points = _nd_points(LAW_C, LAW_D)
+    (label, (re, im), rate), _ = lookup("nd").laws
+    h = gradient_row(params, integral("nd", "H"))
+
+    def pairs():
+        for pt in points:
+            y = pt.as_tuple()
+            zr, zi, g = gradient_row(params, re)(*y), \
+                gradient_row(params, im)(*y), h(*y)
+            c = rate(params, pt)
+            scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
+            yield abs(row_bracket(zr, g) + c * zi[0]) / scale, pt
+            yield abs(row_bracket(zi, g) - c * zr[0]) / scale, pt
+    want = _first_non_finite(f"evolution:{label}_law", pairs())
+    assert "= (1.323" in want
+    with pytest.raises(NonFinite) as exc:
+        evolution_law_check(params, None, points)
+    assert str(exc.value) == want

@@ -1,14 +1,16 @@
 """The traced field, monitor row, monitor term sizes and gradient rows
 against their dual and float oracles."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pdmham.brackets import (gradient, poisson_bracket, row_bracket,
-                             row_residual, scaled_residual)
+                             scaled_residual)
 from pdmham.catalog import CATALOG
+from pdmham.certify import _Columns, _residuals
 from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
@@ -118,33 +120,54 @@ def _row_functions(params):
     return out
 
 
-@pytest.mark.parametrize("family,n", [(family, n) for family in CATALOG
-                                      for n in (-1.0, 0.5, 2.0, 3.0)])
+ROW_CASES = [(family, n) for family in CATALOG for n in (-1.0, 0.5, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("family,n", ROW_CASES)
+def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
+    # one trace serves columns and single points: every column's bytes
+    # must be the floats the trace gives point by point, with no numpy
+    # flag raised (which would send the certificate to its fallback)
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    points = sample_points(params, DomainBox(seed=6), 200)
+    columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
+    for row_params, key, variant, _ in _row_functions(params):
+        row = gradient_row(row_params, key, variant)
+        with np.errstate(all="raise", under="ignore"):
+            got = row(*columns)
+        want = zip(*(row(*pt.as_tuple()) for pt in points))
+        for column, floats in zip(got, want):
+            column = np.broadcast_to(np.asarray(column, float), len(points))
+            assert column.tobytes() == struct.pack(
+                f"{len(points)}d", *floats), (key, variant)
+
+
+@pytest.mark.parametrize("family,n", ROW_CASES)
 def test_row_brackets_equal_dual_brackets(family, n):
     params = ModelParams(family, n, 0.7, 0.3, -0.2)
     functions = _row_functions(params)
     points = [pt for box_seed in (3, 4)
               for pt in sample_points(params, DomainBox(seed=box_seed), 20)]
+    cols = _Columns(points)
     for row_params, key, variant, fn in functions:
         row = gradient_row(row_params, key, variant)
         h_row = gradient_row(row_params, integral(family, "H"))
-        for pt in points:
+        # the certificate's columnar reduction, at each point
+        residuals = _residuals(row_params, key, cols, variant=variant)
+        for pt, residual in zip(points, residuals.tolist()):
             y = pt.as_tuple()
             f, h = row(*y), h_row(*y)
             assert f == (fn(row_params, *y),) + gradient(
                 fn, row_params, pt).as_tuple()
             assert row_bracket(f, h) == poisson_bracket(
                 fn, hamiltonian, row_params, pt)
-            assert row_residual(f, h, pt) == scaled_residual(
+            assert residual == scaled_residual(
                 fn, hamiltonian, row_params, pt)
     # the pairs of involution and algebra checks
     plain = [fn for row_params, _, variant, fn in functions
              if row_params is params and variant is None]
     for i, fn_a in enumerate(plain):
         for fn_b in plain[i + 1:]:
-            row_a = gradient_row(params, fn_a)
-            row_b = gradient_row(params, fn_b)
-            for pt in points:
-                a, b = row_a(*pt.as_tuple()), row_b(*pt.as_tuple())
-                assert row_residual(a, b, pt) == scaled_residual(
-                    fn_a, fn_b, params, pt)
+            residuals = _residuals(params, fn_a, cols, fn_b)
+            for pt, residual in zip(points, residuals.tolist()):
+                assert residual == scaled_residual(fn_a, fn_b, params, pt)
