@@ -121,7 +121,7 @@ class _Columns(list):
     def __init__(self, points):
         super().__init__(points)
         self.r, self.phi, self.p_r, self.p_phi = np.array(
-            [pt.as_tuple() for pt in points]).reshape(-1, 4).T
+            [pt.as_tuple() for pt in self]).reshape(-1, 4).T
         self._rows = {}
 
     def row(self, params, fn, variant=None):
@@ -274,7 +274,8 @@ def identity_residual(params, name, fn, points):
 def identity_suite(params, sample, points=None):
     """Structural identities (see `identity_residual`): the kinetic-Noether
     identity for every family, then the family's own."""
-    points = _columns(params, sample, points)
+    if points is None:
+        points = sample_points(params, sample.box, sample.count)
     identities = ((("kinetic_noether", kinetic_noether),)
                   + lookup(params.family).identities)
     return {name: identity_residual(params, name, fn, points)
