@@ -7,17 +7,18 @@ Killing-tensor condition on quadratic momentum parts, structural
 identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
-The checks combine gradient rows of the catalog's own functions, traced
-once per (params, function) by `tracing.gradient_row`, once per certificate
-as float64 columns over the sample (`_Columns`); `_worst` reduces each
-residual array and refuses a NaN or an infinity.  Every residual is
-deterministic given (params, sample seed, integrator config) and equals its
-`Dual` bracket oracle bit for bit.  Tolerances are module constants.
+Every check but the drift runs on traces of the catalog's own functions
+(`tracing`): gradient rows, the identities' pairs and their sin, cos and
+pow, each once per certificate as float64 columns over the sample
+(`_Columns`); `_worst` reduces each residual array and refuses a NaN or an
+infinity.  Every residual is deterministic given (params, sample seed,
+integrator config) and equals its point-by-point oracle bit for bit.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,7 +33,8 @@ from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
 from .formulas import kinetic_noether
 from .observables import corruption_parts, family_integrals, integral
 from .phase import DomainBox, sample_points
-from .tracing import gradient_row, monitor_terms, monitors
+from .tracing import (elementwise, gradient_row, identity_pairs,
+                      monitor_terms, monitors)
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -115,29 +117,41 @@ class Certificate:
 
 
 class _Columns(list):
-    """Sample points, with their four coordinates as float64 columns and a
-    memo of the gradient rows evaluated on them."""
+    """Sample points, with their four coordinates as float64 columns and
+    memos of the gradient rows and element-wise maps evaluated on them."""
 
     def __init__(self, points):
         super().__init__(points)
         self.r, self.phi, self.p_r, self.p_phi = np.array(
             [pt.as_tuple() for pt in self]).reshape(-1, 4).T
         self._rows = {}
+        self._maps = {}
+
+    def map(self, fn, *args):
+        """`tracing.elementwise` on these columns, once per function and
+        argument bytes, so the traces on them share their sin, cos and pow."""
+        key = (fn,) + tuple(np.asarray(a, float).tobytes() for a in args)
+        if key not in self._maps:
+            self._maps[key] = elementwise(fn, *args)
+        return self._maps[key]
+
+    def evaluate(self, trace):
+        """A trace compiled with `columns`, as float64 columns.  Where numpy
+        flags an overflow, a 0 divide or a NaN, or sin, cos or pow raise or
+        give a non-float, it reruns point by point, raising as it does."""
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                out = trace(self.r, self.phi, self.p_r, self.p_phi, self.map)
+        except (ArithmeticError, ValueError, TypeError):
+            out = zip(*(trace(*pt.as_tuple()) for pt in self))
+        return tuple(np.broadcast_to(np.asarray(col, dtype=float),
+                                     self.r.shape) for col in out)
 
     def row(self, params, fn, variant=None):
-        """`tracing.gradient_row` on the columns, once per key.  Where numpy
-        flags an overflow, a 0 divide or a NaN, or sin, cos or ** raise or
-        give a non-float, it reruns point by point, raising as it does."""
+        """`tracing.gradient_row` on the columns, once per key."""
         key = (params, fn, variant)
         if key not in self._rows:
-            row = gradient_row(params, fn, variant)
-            try:
-                with np.errstate(all="raise", under="ignore"):
-                    out = row(self.r, self.phi, self.p_r, self.p_phi)
-            except (ArithmeticError, ValueError, TypeError):
-                out = zip(*(row(*pt.as_tuple()) for pt in self))
-            self._rows[key] = tuple(np.broadcast_to(np.asarray(
-                col, dtype=float), self.r.shape) for col in out)
+            self._rows[key] = self.evaluate(gradient_row(params, fn, variant))
         return self._rows[key]
 
 
@@ -257,29 +271,36 @@ def killing_tensor_check(params, sample, points=None):
                       points) for obs in quadratics)
 
 
+@np.errstate(all="ignore")
 def _rel(lhs, rhs, terms=0.0):
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), terms)
+    # on floats or columns; np.fmax skips a NaN as max(1.0, ...) does
+    return abs(lhs - rhs) / np.fmax(np.fmax(np.fmax(
+        1.0, abs(lhs)), abs(rhs)), terms)
 
 
 def identity_residual(params, name, fn, points):
-    """Worst gap of `fn`'s (lhs, rhs) pairs, each relative to max(1, |LHS|,
-    |RHS|), or also to a third entry, the size of the terms, where a pair
-    carries one; `name` labels the check.  Point by point: the flat twin
-    of `pdm xcheck` branches on values, so it cannot be traced."""
+    """Worst `_rel` gap of `fn`'s (lhs, rhs) pairs, or (lhs, rhs, terms)
+    where a pair carries the size of its terms; `name` labels the check.
+    Point by point, for the flat twin of `pdm xcheck`, which branches on
+    values and so cannot be traced."""
     return _worst(f"identity:{name}", np.array([
         [_rel(*pair) for pair in fn(params, *pt.as_tuple())]
         for pt in points]), points)
 
 
 def identity_suite(params, sample, points=None):
-    """Structural identities (see `identity_residual`): the kinetic-Noether
-    identity for every family, then the family's own."""
-    if points is None:
-        points = sample_points(params, sample.box, sample.count)
+    """Worst `_rel` gap of the kinetic-Noether identity, then of each of
+    the family's own, as one trace on the columns (`identity_pairs`)."""
+    points = _columns(params, sample, points)
     identities = ((("kinetic_noether", kinetic_noether),)
                   + lookup(params.family).identities)
-    return {name: identity_residual(params, name, fn, points)
-            for name, fn in identities}
+    out = {}
+    for name, fn in identities:
+        flat = points.evaluate(identity_pairs(params, fn))
+        # (points, pairs): `_worst` names a point's first pair first
+        out[name] = _worst(f"identity:{name}", np.stack(
+            [_rel(*pair) for pair in zip(flat[::2], flat[1::2])], 1), points)
+    return out
 
 
 @np.errstate(all="ignore")
@@ -369,8 +390,14 @@ def corruption_suite(params, sample, points=None):
 
 def _require_finite(params, points):
     """Raise NonFinite unless H and every bound integral are finite at
-    every sample point."""
+    every sample point: on the value columns of their gradient rows, or,
+    where one is not finite or a row raises (to raise again in the check
+    that needs it), point by point through the monitor row."""
     names, row = monitors(params)
+    with contextlib.suppress(ArithmeticError, ValueError, TypeError):
+        if all(np.isfinite(points.row(params, integral(
+                params.family, name))[0]).all() for name in names):
+            return
     for pt in points:
         for name, val in zip(names, row(*pt.as_tuple())):
             if not math.isfinite(val):

@@ -62,7 +62,8 @@ def _reduction(params):
 
 def flat_twin(params, r, phi, p_r, p_phi):
     """((U_family, V_tag, terms),) at n = 0 under the catalog's couplings
-    map: an identity for `certify.identity_residual`, sampled on `twin_box`.
+    map, sampled on `twin_box`: the one identity that branches on values,
+    so `certify.identity_residual` reduces it point by point, untraced.
     Both potentials are linear in (k0, k1, k2), so `terms`, the larger of
     sum |U_i| and sum |V_i| with only k_i set, sizes the roundoff in U - V
     that terms of opposite sign leave however small U is."""

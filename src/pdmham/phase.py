@@ -1,5 +1,6 @@
 """Canonical polar phase points, model parameters, and guarded sampling."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,8 +58,8 @@ class ModelParams:
         if self.family not in CATALOG:
             raise UnknownFamily(self.family)
         for name in ("n", "k0", "k1", "k2"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFinite(name)
+            if not math.isfinite(value := getattr(self, name)):
+                raise NonFinite(f"{name} must be finite, got {value}")
         if CATALOG[self.family].degenerate_at_n1 and self.n == 1.0:
             raise DegenerateN("n = 1 degenerate (k_n = 0)")
 
@@ -118,8 +119,8 @@ def singular_distance(family, n, phi):
 def check_point(point, params, phi_margin=POLE_MARGIN):
     """Raise the specific domain error that makes `point` invalid, if any."""
     for name in ("r", "phi", "p_r", "p_phi"):
-        if not math.isfinite(getattr(point, name)):
-            raise NonFinite(name)
+        if not math.isfinite(value := getattr(point, name)):
+            raise NonFinite(f"{name} must be finite, got {value}")
     if point.r <= 0.0:
         raise RadiusNonPositive(f"r = {point.r}")
     d = singular_distance(params.family, params.n, point.phi)
@@ -144,17 +145,34 @@ def sample_points(params, box, count):
     rounds, size = 10, max(100, count)
     points = []
     for _ in range(rounds):
-        for draw in rng.uniform(low, high, size=(size, 4)).tolist():
-            candidate = PhasePoint(*draw)
-            try:
-                check_point(candidate, params, box.phi_margin)
-            except (NonFinite, RadiusNonPositive, AngularSingularity):
-                continue
-            points.append(candidate)
-            if len(points) == count:
-                return points
+        draws = rng.uniform(low, high, size=(size, 4))
+        try:
+            kept = draws[_valid(params, draws, box.phi_margin)].tolist()
+        except ValueError:
+            # check_point raises on an infinite k_n*phi once it gets there
+            kept = (d for d in draws.tolist()
+                    if _valid(params, np.array([d]), box.phi_margin)[0])
+        points += [PhasePoint(*draw) for draw in itertools.islice(
+            kept, count - len(points))]
+        if len(points) == count:
+            return points
     raise EmptyDomain(
         f"{len(points)}/{count} valid points after {rounds * size} draws")
+
+
+@np.errstate(all="ignore")
+def _valid(params, draws, phi_margin):
+    """Where `check_point` passes the (r, phi, p_r, p_phi) rows of `draws`,
+    by its operations on the columns; it raises as that does."""
+    ok = np.isfinite(draws).all(1) & (draws[:, 0] > 0.0)
+    u = (params.n - 1.0) * draws[ok, 1]
+    far = np.ones(len(u), bool)
+    for kind in CATALOG[params.family].poles:
+        offset = 0.0 if kind == "sin" else _HALF_PI
+        far &= np.array([abs(math.remainder(x, math.pi))
+                         for x in (u - offset).tolist()]) > phi_margin
+    ok[ok] = far
+    return ok
 
 
 def polar_to_cartesian(point):

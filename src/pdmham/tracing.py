@@ -19,9 +19,9 @@ catalog holds feeds the sampled certificate checks, cached per (params,
 function, variant).  F comes from the float trace of F, as in the monitor
 row, because the value part of a dual can differ from the float path by
 an ulp; the partials come from the tangents of one seeded dual pass.  On
-float64 columns a row gives the floats it gives point by point: numpy's
-`+ - * / abs` round as Python's, but `sin`, `cos` and `**` map math's over
-the elements, as numpy's own can be an ulp off on some hosts.
+float64 columns, rows and identity pairs give their floats point by point:
+numpy's `+ - * / abs` round as Python's; `sin`, `cos` and `**` map math's
+(`maps`, one memo per certificate), as numpy's own can be an ulp off.
 
 `Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
 all the formulas and `Dual` take.  It has no truth value and no
@@ -44,18 +44,12 @@ _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
             "nan": math.nan}
 
 
-def _elementwise(fn):
+def elementwise(fn, *args):
     """fn on floats, or mapped over the elements of float64 columns."""
-    def call(*args):
-        if not any(isinstance(a, np.ndarray) for a in args):
-            return fn(*args)
-        cols = [c.tolist() for c in np.broadcast_arrays(*args)]
-        return np.fromiter(map(fn, *cols), float, len(cols[0]))
-    return call
-
-
-_COLUMN_GLOBALS = dict(_GLOBALS, sin=_elementwise(math.sin),
-                       cos=_elementwise(math.cos), pow=_elementwise(pow))
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return fn(*args)
+    cols = [c.tolist() for c in np.broadcast_arrays(*args)]
+    return np.fromiter(map(fn, *cols), float, len(cols[0]))
 
 
 def _atom(x):
@@ -150,8 +144,8 @@ def compile_traced(fn, label, columns=False):
     """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function
     of the same four coordinates that returns the same tuple of floats.
     It is compiled under the file name `<traced label>`, so profiles list
-    each trace on its own.  With `columns`, `sin`, `cos` and `**` are
-    element-wise, for float64 columns (see the module docstring)."""
+    each trace on its own.  With `columns`, it calls `sin`, `cos` and `**`
+    through a fifth argument, `maps`, `elementwise` or one like it."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
@@ -159,12 +153,14 @@ def compile_traced(fn, label, columns=False):
     for expr, sym in reversed(tape.items()):
         if sym.name in live:
             if columns and " ** " in expr:
-                expr = "pow({}, {})".format(*expr.split(" ** "))
+                expr = "maps(pow, {}, {})".format(*expr.split(" ** "))
+            elif columns and expr[:4] in ("sin(", "cos("):
+                expr = f"maps({expr[:3]}, {expr[4:]}"
             body.append(f"    {sym.name} = {expr}")
             live.update(sym.operands)
-    head = f"def traced({', '.join(_COORDS)}):"
+    head = f"def traced({', '.join(_COORDS)}{', maps=elementwise' * columns}):"
     ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
-    namespace = dict(_COLUMN_GLOBALS if columns else _GLOBALS)
+    namespace = dict(_GLOBALS, elementwise=elementwise)
     source = "\n".join([head] + body[::-1] + [ret])
     exec(compile(source, f"<traced {label}>", "exec"), namespace)
     return namespace["traced"]
@@ -215,6 +211,14 @@ def monitor_terms(params):
             out.append(abs(base) + sum(abs(fn(p, *y) - base) for p in alone))
         return tuple(out)
     return compile_traced(sizes, f"monitor_terms {params}")
+
+
+@functools.lru_cache(maxsize=128)
+def identity_pairs(params, fn):
+    """The (lhs, rhs) pairs of the identity fn(params, r, phi, p_r, p_phi),
+    flattened into one row compiled for float64 columns."""
+    return compile_traced(lambda *y: sum(fn(params, *y), ()),
+                          f"identity {fn.__name__} {params}", columns=True)
 
 
 def _row(fn, params, r, phi, p_r, p_phi):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,15 +11,17 @@ import pytest
 from pdmham.brackets import row_bracket
 from pdmham.catalog import CATALOG, lookup
 from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
-                            bracket_residual_suite, certificate,
-                            corruption_suite, evolution_law_check,
+                            _require_finite, bracket_residual_suite,
+                            certificate, corruption_suite,
+                            evolution_law_check, identity_suite,
                             independence_stats, involution_check,
                             killing_tensor_check)
 from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
                            UnknownIntegral)
+from pdmham.formulas import kinetic_noether
 from pdmham.observables import integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
-from pdmham.tracing import gradient_row
+from pdmham.tracing import gradient_row, identity_pairs, monitors
 
 COUPLINGS = (1.0, 0.6, 0.35)
 
@@ -336,3 +339,103 @@ def test_evolution_law_names_the_first_non_finite_point_re_then_im():
     with pytest.raises(NonFinite) as exc:
         evolution_law_check(params, None, points)
     assert str(exc.value) == want
+
+
+def _identities(family):
+    return (("kinetic_noether", kinetic_noether),) + lookup(family).identities
+
+
+def _rel_loop(params, fn, points):
+    """Each identity pair's gap as the per-point loop wrote it: Python
+    floats from the formula itself, reduced with Python's max."""
+    return [(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)), pt)
+            for pt in points for lhs, rhs in fn(params, *pt.as_tuple())]
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family in CATALOG
+                                      for n in (-1.0, 0.5, 2.0, 3.0)])
+def test_identity_suite_equals_a_pointwise_rel_loop(family, n):
+    # one trace per identity on the columns: each of its pairs is the
+    # formula's floats point by point, and each worst gap is the loop's,
+    # byte for byte
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    points = sample_points(params, DomainBox(seed=6), 300)
+    cols = _Columns(points)
+    suite = identity_suite(params, None, points)
+    assert list(suite) == [name for name, _ in _identities(family)]
+    for name, fn in _identities(family):
+        flat = cols.evaluate(identity_pairs(params, fn))
+        want = [v for pt in points for pair in fn(params, *pt.as_tuple())
+                for v in pair]
+        assert np.stack(flat, 1).tobytes() == struct.pack(
+            f"{len(want)}d", *want), name
+        worst = max((res for res, _ in _rel_loop(params, fn, points)),
+                    default=0.0)
+        assert struct.pack("d", suite[name]) == struct.pack("d", worst)
+
+
+# nd at n = 3: p_phi^2 overflows at HUGE, which makes every identity's
+# gaps NaN there
+HUGE = PhasePoint(0.980376911720386, 2.4563046751668844, 11867695852.909266,
+                  1.4795317662256625e+155)
+
+
+def test_identity_suite_names_the_loops_first_non_finite_gap():
+    # the columns flag (at HUGE and OVER) and fall back point by point;
+    # the message names the first identity with a NaN or an infinity, and
+    # in it the first point, then pair, as the loop finds them
+    params, points = _nd_points(HUGE)
+    columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
+    with pytest.raises(FloatingPointError), np.errstate(all="raise"):
+        identity_pairs(params, kinetic_noether)(*columns)
+    want = next(_first_non_finite(f"identity:{name}", pairs)
+                for name, fn in _identities("nd")
+                for pairs in [_rel_loop(params, fn, points)]
+                if not all(math.isfinite(res) for res, _ in pairs))
+    assert "= (0.980" in want
+    with pytest.raises(NonFinite) as exc:
+        identity_suite(params, None, points)
+    assert str(exc.value) == want
+
+
+# nd at n = 3 where H is finite but Jd2, or Jd3, is infinite
+JD2_INF = PhasePoint(1.2350408489284699, 4.5915466473219375,
+                     -2.423741467181456e+55, 1.1526042102816195e+154)
+JD3_INF = PhasePoint(1.1894908021074226, 2.5648709594428896,
+                     -9.629420954007486e+146, -1.3118565636410904e+154)
+
+
+def _first_non_finite_monitor(params, points):
+    """The message of the per-point loop over H and the bound integrals."""
+    names, row = monitors(params)
+    for pt in points:
+        for name, val in zip(names, row(*pt.as_tuple())):
+            if not math.isfinite(val):
+                return (f"{name} is {val} at the sample point "
+                        f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
+    return None
+
+
+@pytest.mark.parametrize("odd,first", [
+    ((KILL_A, LAW_C), "H is inf at the sample point (r, phi, p_r, p_phi) "
+                      "= (1.1,"),
+    ((JD3_INF, HUGE), "Jd3 is -inf at the sample point (r, phi, p_r, "
+                      "p_phi) = (1.189"),
+    ((KILL_B, JD2_INF, JD3_INF), "Jd2 is inf at the sample point (r, phi, "
+                                 "p_r, p_phi) = (1.235")])
+def test_require_finite_names_the_loops_first_non_finite_monitor(odd,
+                                                                 first):
+    # OVER makes numpy flag on H's row (see `_nd_points`), which reruns
+    # point by point; a value column that is not finite sends the check to
+    # its loop, which names the first value point by point, monitor by
+    # monitor
+    params, points = _nd_points(*odd)
+    want = _first_non_finite_monitor(params, points)
+    assert want.startswith(first)
+    with pytest.raises(NonFinite) as exc:
+        _require_finite(params, _Columns(points))
+    assert str(exc.value) == want
+    # without the crafted points the columns pass on their own
+    fine = _Columns(points[::2])
+    assert _first_non_finite_monitor(params, fine) is None
+    _require_finite(params, fine)

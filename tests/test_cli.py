@@ -62,6 +62,23 @@ def test_check_degenerate_n_is_usage_error(capsys):
     assert "n = 1 degenerate (k_n = 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["check", "--family", "nc", "--n", "nan"], "n must be finite, got nan"),
+    (["check", "--family", "nc", "--n", "2", "--k1", "inf"],
+     "k1 must be finite, got inf"),
+    (["xcheck", "--which", "a", "--k2", "nan"], "k2 must be finite, got nan"),
+    (["integrate", "--family", "nc", "--n", "2", "--r0", "nan", "--phi0",
+      "1", "--pr0", "0", "--pphi0", "1"], "r must be finite, got nan"),
+    (["integrate", "--family", "nc", "--n", "2", "--r0", "1", "--phi0", "1",
+      "--pr0", "0", "--pphi0=-inf"], "p_phi must be finite, got -inf"),
+])
+def test_non_finite_input_names_the_field_and_its_value(argv, line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"pdm: error: {line}\n")
+
+
 def test_check_corrupt_flag_fails_verdict(tmp_path):
     out = tmp_path / "cert.json"
     code = run(["check", *ND_FLAGS, "--corrupt", "Jd2", "--out", str(out)])

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdmham.errors import (AngularSingularity, DegenerateN, EmptyDomain,
                            NonFinite, RadiusNonPositive, UnknownFamily)
@@ -37,9 +40,9 @@ def test_geodesic_allows_n_equal_one():
 
 
 def test_nonfinite_params_rejected():
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="^n must be finite, got nan$"):
         ModelParams("na", float("nan"), 1.0, 0.0, 0.0)
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="^k0 must be finite, got inf$"):
         ModelParams("na", 2.0, float("inf"), 0.0, 0.0)
 
 
@@ -47,7 +50,7 @@ def test_check_point_guards():
     params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
     with pytest.raises(RadiusNonPositive):
         check_point(PhasePoint(0.0, 1.0, 0.0, 0.0), params)
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="^phi must be finite, got nan$"):
         check_point(PhasePoint(1.0, float("nan"), 0.0, 0.0), params)
     # na potential has sec^2/csc^2 poles where u = k_n*phi hits pi/2 grid
     with pytest.raises(AngularSingularity):
@@ -116,6 +119,75 @@ def test_empty_domain_raises():
     box = DomainBox(phi_margin=10.0)
     with pytest.raises(EmptyDomain):
         sample_points(params, box, 5)
+
+
+def _reference_sample(params, box, count):
+    """`sample_points` as one `check_point` call per candidate."""
+    rng = np.random.default_rng(box.seed)
+    low = (box.r_min, box.phi_min, -box.p_max, -box.p_max)
+    high = (box.r_max, box.phi_max, box.p_max, box.p_max)
+    size = max(100, count)
+    points = []
+    for _ in range(10):
+        for draw in rng.uniform(low, high, size=(size, 4)).tolist():
+            candidate = PhasePoint(*draw)
+            try:
+                check_point(candidate, params, box.phi_margin)
+            except (NonFinite, RadiusNonPositive, AngularSingularity):
+                continue
+            points.append(candidate)
+            if len(points) == count:
+                return points
+    raise EmptyDomain(
+        f"{len(points)}/{count} valid points after {10 * size} draws")
+
+
+def _outcome(params, box, count):
+    try:
+        return _reference_sample(params, box, count)
+    except (EmptyDomain, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _sampled(params, box, count):
+    try:
+        return sample_points(params, box, count)
+    except (EmptyDomain, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       n=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]),
+                   st.floats(-50.0, 50.0)),
+       # the poles of a family with both kinds lie pi/2 apart in k_n*phi
+       margin=st.one_of(st.floats(1e-9, 0.785), st.sampled_from(
+           [1e-4, 0.78, 0.785, 0.7853981, 1.5, 1.57])),
+       seed=st.integers(0, 2 ** 32), count=st.integers(1, 400))
+@example(family="na", n=2.0, margin=10.0, seed=0, count=5)
+def test_sampling_equals_a_check_point_filter(family, n, margin, seed,
+                                              count):
+    # the mask over a round's columns keeps exactly the candidates that
+    # `check_point` keeps, in draw order, and runs out where it does
+    try:
+        params = ModelParams(family, n)
+    except DegenerateN:
+        return
+    box = DomainBox(phi_margin=margin, seed=seed)
+    assert _sampled(params, box, count) == _outcome(params, box, count)
+
+
+@pytest.mark.parametrize("family,n,count", [
+    ("na", 1e308, 1), ("na", 1e308, 40), ("nc1", -1e308, 3),
+    ("nd", 1e308, 5), ("nb", 5e307, 120)])
+def test_sampling_matches_check_point_where_k_n_phi_overflows(family, n,
+                                                              count):
+    # math.remainder refuses an infinite k_n*phi: a round that holds one
+    # is checked point by point, so a sample complete before it returns
+    params = ModelParams(family, n)
+    for seed in range(4):
+        box = DomainBox(seed=seed)
+        assert _sampled(params, box, count) == _outcome(params, box, count)
 
 
 def test_polar_to_cartesian_position():

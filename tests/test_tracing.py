@@ -131,15 +131,20 @@ def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
     params = ModelParams(family, n, 0.7, 0.3, -0.2)
     points = sample_points(params, DomainBox(seed=6), 200)
     columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
+    # one memo of sin, cos and pow for every row, as a certificate has
+    maps = _Columns(points).map
     for row_params, key, variant, _ in _row_functions(params):
         row = gradient_row(row_params, key, variant)
         with np.errstate(all="raise", under="ignore"):
             got = row(*columns)
+            shared = row(*columns, maps)
         want = zip(*(row(*pt.as_tuple()) for pt in points))
-        for column, floats in zip(got, want):
+        for column, memo, floats in zip(got, shared, want):
             column = np.broadcast_to(np.asarray(column, float), len(points))
             assert column.tobytes() == struct.pack(
                 f"{len(points)}d", *floats), (key, variant)
+            assert np.broadcast_to(memo, len(points)).tobytes() == \
+                column.tobytes(), (key, variant)
 
 
 @pytest.mark.parametrize("family,n", ROW_CASES)
