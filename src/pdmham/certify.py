@@ -8,11 +8,13 @@ identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
 Every check but the drift runs on traces of the catalog's own functions
-(`tracing`): gradient rows, the identities' pairs and their sin, cos and
-pow, each once per certificate as float64 columns over the sample
-(`_Columns`); `_worst` reduces each residual array and refuses a NaN or an
-infinity.  Every residual is deterministic given (params, sample seed,
-integrator config) and equals its point-by-point oracle bit for bit.
+(`tracing`): gradient rows, identity pairs, law rates, algebra targets and
+their sin, cos and pow, each once per certificate on the float64 columns
+of the draws (`_Columns`); `_worst` reduces each residual array and
+refuses a NaN or an infinity; a Gram determinant spares the rank check's
+SVD the clear points.  Every residual is deterministic given (params,
+sample seed, integrator config) and equals its point-by-point oracle bit
+for bit.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
@@ -32,9 +34,9 @@ from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
                      NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
 from .observables import corruption_parts, family_integrals, integral
-from .phase import DomainBox, sample_points
+from .phase import DomainBox, PhasePoint, sample_draws
 from .tracing import (elementwise, gradient_row, identity_pairs,
-                      monitor_terms, monitors)
+                      monitor_terms, monitors, on_columns, value_row)
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -116,16 +118,28 @@ class Certificate:
                           allow_nan=False)
 
 
-class _Columns(list):
-    """Sample points, with their four coordinates as float64 columns and
-    memos of the gradient rows and element-wise maps evaluated on them."""
+class _Columns:
+    """Sample points as an (N, 4) float64 array `draws`, its four columns,
+    and memos of the gradient rows and element-wise maps evaluated on them.
+    Given points are kept; from draws, a PhasePoint is built where read."""
 
-    def __init__(self, points):
-        super().__init__(points)
-        self.r, self.phi, self.p_r, self.p_phi = np.array(
-            [pt.as_tuple() for pt in self]).reshape(-1, 4).T
+    def __init__(self, points=None, draws=None):
+        if draws is None:
+            draws = np.array([pt.as_tuple() for pt in points]).reshape(-1, 4)
+        self._points, self.draws = points, draws
+        self.r, self.phi, self.p_r, self.p_phi = draws.T
         self._rows = {}
         self._maps = {}
+
+    def __len__(self):
+        return len(self.draws)
+
+    def __getitem__(self, i):
+        if self._points is not None:
+            return self._points[i]
+        if isinstance(i, slice):
+            return [PhasePoint(*d) for d in self.draws[i].tolist()]
+        return PhasePoint(*self.draws[i].tolist())
 
     def map(self, fn, *args):
         """`tracing.elementwise` on these columns, once per function and
@@ -136,16 +150,8 @@ class _Columns(list):
         return self._maps[key]
 
     def evaluate(self, trace):
-        """A trace compiled with `columns`, as float64 columns.  Where numpy
-        flags an overflow, a 0 divide or a NaN, or sin, cos or pow raise or
-        give a non-float, it reruns point by point, raising as it does."""
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                out = trace(self.r, self.phi, self.p_r, self.p_phi, self.map)
-        except (ArithmeticError, ValueError, TypeError):
-            out = zip(*(trace(*pt.as_tuple()) for pt in self))
-        return tuple(np.broadcast_to(np.asarray(col, dtype=float),
-                                     self.r.shape) for col in out)
+        """`tracing.on_columns` of a trace compiled with `columns`."""
+        return on_columns(trace, self.draws, self.map)
 
     def row(self, params, fn, variant=None):
         """`tracing.gradient_row` on the columns, once per key."""
@@ -160,7 +166,7 @@ def _columns(params, sample, points=None):
     if isinstance(points, _Columns):
         return points
     if points is None:
-        points = sample_points(params, sample.box, sample.count)
+        return _Columns(draws=sample_draws(params, sample.box, sample.count))
     return _Columns(points)
 
 
@@ -240,16 +246,29 @@ def independence_stats(params, sample, names=None, points=None):
     names = names or lookup(params.family).triple
     if not 2 <= len(names) <= 4:
         raise ValueError("rank check takes 2 to 4 functions")
-    # the partials of every function at every point, stacked (N, k, 4), so
-    # one SVD call gives each point's singular values, largest first
+    # the partials of every function at every point, stacked (N, k, 4)
     partials = np.array([points.row(params, integral(params.family, n))[1:]
                          for n in names]).transpose(2, 0, 1)
-    sv = np.linalg.svd(partials, compute_uv=False)
-    full = ((sv[:, 0] != 0.0) & (np.sum(
-        sv > RANK_REL_THRESHOLD * sv[:, :1], axis=1) == len(names))).tolist()
-    failures = tuple((pt, tuple(s)) for pt, s, ok
-                     in zip(points, sv.tolist(), full) if not ok)
-    return sum(full) / len(points), failures
+    failures = tuple((points[i], sv) for i, sv in _rank_failures(partials))
+    return (len(points) - len(failures)) / len(points), failures
+
+
+def _rank_failures(partials):
+    """(index, singular values) of each (k, 4) P in the stack without full
+    rank, as one SVD of the stack gives them (it raises on a NaN).  As
+    lam_min / lam_max >= det G / tr(G)^k for G = P P^T (P scaled by its
+    largest entry, so G cannot underflow), det(G / tr G) > 1e-10 clears P
+    at sigma_min / sigma_max > 1e-5; only the rest go to the SVD."""
+    with np.errstate(all="ignore"):
+        unit = partials / abs(partials).max(axis=(1, 2), keepdims=True)
+        gram = np.einsum("nik,njk->nij", unit, unit)
+        rest = np.flatnonzero(~(np.linalg.det(gram / np.trace(
+            gram, axis1=1, axis2=2)[:, None, None]) > 1e-10))
+    sv = np.linalg.svd(partials[rest], compute_uv=False)
+    full = ((sv[:, 0] != 0.0) & (np.sum(sv > RANK_REL_THRESHOLD * sv[:, :1],
+                                        axis=1) == partials.shape[1]))
+    return [(i, tuple(s)) for i, s, ok
+            in zip(rest.tolist(), sv.tolist(), full.tolist()) if not ok]
 
 
 def killing_tensor_check(params, sample, points=None):
@@ -313,7 +332,7 @@ def algebra_check(params, sample, points=None):
     for name, a, b, rhs in lookup(params.family).algebra:
         fa = points.row(params, integral(params.family, a))
         fb = points.row(params, integral(params.family, b))
-        target = np.array([rhs(params, *pt.as_tuple()) for pt in points])
+        target, = points.evaluate(value_row(params, rhs))
         out[name] = _worst(f"algebra:{name}", abs(
             row_bracket(fa, fb) - target) / bracket_scale(
             fa[0], fb[0], points), points)
@@ -336,9 +355,9 @@ def evolution_law_check(params, sample, points=None):
     out = {}
     for label, (re, im), rate in fam.laws:
         zr, zi = points.row(params, re), points.row(params, im)
-        c = np.array([rate(params, pt) for pt in points])
-        scale = bracket_scale(np.array(list(map(
-            math.hypot, zr[0].tolist(), zi[0].tolist()))), h[0], points)
+        c, = points.evaluate(value_row(params, rate, on_point=True))
+        scale = bracket_scale(points.map(math.hypot, zr[0], zi[0]), h[0],
+                              points)
         # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re;
         # each point's Re residual, then its Im residual
         res = np.stack([abs(row_bracket(zr, h) + c * zi[0]) / scale,

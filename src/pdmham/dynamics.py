@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyTrajectory, NonFinite
 from .phase import POLE_MARGIN, PhasePoint, check_point, singular_distance
-from .tracing import monitors, vector_field
+from .tracing import monitors, on_columns, vector_field
 
 COMPLETED = "Completed"
 SINGULARITY = "SingularityApproach"
@@ -352,10 +352,11 @@ class DriftReport:
 def drift_report(trajectory, terms=None):
     """Per-monitor drift relative to max(1, |initial value|), and also to
     the largest size of the monitor's terms along the trajectory when
-    `terms` is a row function like `tracing.monitor_terms(params)`."""
+    `terms` is a row function like `tracing.monitor_terms(params)`, run
+    on the states' columns."""
     if len(trajectory) < 2:
         raise EmptyTrajectory(f"{len(trajectory)} recorded state(s)")
-    sizes = (np.max([terms(*y) for y in trajectory.states.tolist()], axis=0)
+    sizes = (np.max(on_columns(terms, trajectory.states), axis=1)
              if terms is not None else np.zeros(len(trajectory.monitors)))
     if not np.isfinite(sizes).all():
         raise NonFinite("the size of a monitor's terms overflows")

@@ -1,4 +1,5 @@
-"""Canonical polar phase points, model parameters, and guarded sampling."""
+"""Canonical polar phase points, model parameters, and guarded sampling
+into one (N, 4) float64 array of draws (`sample_draws`)."""
 
 import itertools
 import math
@@ -130,12 +131,19 @@ def check_point(point, params, phi_margin=POLE_MARGIN):
 
 
 def sample_points(params, box, count):
-    """Draw `count` valid points, rejection sampling from a seeded generator.
+    """`sample_draws` as a list of PhasePoints."""
+    draws = sample_draws(params, box, count)
+    return [PhasePoint(*d) for d in draws.tolist()]
 
-    Deterministic for a fixed box seed.  Candidates (r, phi, p_r, p_phi)
-    are drawn a round of max(100, count) at a time, which gives the same
-    stream as one draw per coordinate.  Raises EmptyDomain when the guards
-    reject an entire budget of ten rounds.
+
+def sample_draws(params, box, count):
+    """Draw `count` valid points (r, phi, p_r, p_phi) as the rows of one
+    float64 array, rejection sampling from a seeded generator.
+
+    Deterministic for a fixed box seed.  Candidates are drawn a round of
+    max(100, count) at a time, which gives the same stream as one draw per
+    coordinate.  Raises EmptyDomain when the guards reject an entire budget
+    of ten rounds.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -143,21 +151,31 @@ def sample_points(params, box, count):
     low = (box.r_min, box.phi_min, -box.p_max, -box.p_max)
     high = (box.r_max, box.phi_max, box.p_max, box.p_max)
     rounds, size = 10, max(100, count)
-    points = []
+    kept = np.empty((0, 4))
     for _ in range(rounds):
         draws = rng.uniform(low, high, size=(size, 4))
         try:
-            kept = draws[_valid(params, draws, box.phi_margin)].tolist()
+            new = draws[_valid(params, draws, box.phi_margin)]
         except ValueError:
             # check_point raises on an infinite k_n*phi once it gets there
-            kept = (d for d in draws.tolist()
-                    if _valid(params, np.array([d]), box.phi_margin)[0])
-        points += [PhasePoint(*draw) for draw in itertools.islice(
-            kept, count - len(points))]
-        if len(points) == count:
-            return points
+            new = np.reshape(list(itertools.islice((d for d in draws if _valid(
+                params, d[None], box.phi_margin)[0]), count - len(kept))),
+                (-1, 4))
+        kept = np.concatenate([kept, new[:count - len(kept)]])
+        if len(kept) == count:
+            return kept
     raise EmptyDomain(
-        f"{len(points)}/{count} valid points after {rounds * size} draws")
+        f"{len(kept)}/{count} valid points after {rounds * size} draws")
+
+
+def _pole_distance(u):
+    """abs(math.remainder(u, pi)) of each element, by the exact fold of
+    fmod (pi - a is exact for a >= pi/2); an infinity raises ValueError, as
+    math.remainder does."""
+    if np.isinf(u).any():
+        raise ValueError("math domain error")
+    a = np.abs(np.fmod(u, math.pi))
+    return np.where(a > _HALF_PI, math.pi - a, a)
 
 
 @np.errstate(all="ignore")
@@ -169,8 +187,7 @@ def _valid(params, draws, phi_margin):
     far = np.ones(len(u), bool)
     for kind in CATALOG[params.family].poles:
         offset = 0.0 if kind == "sin" else _HALF_PI
-        far &= np.array([abs(math.remainder(x, math.pi))
-                         for x in (u - offset).tolist()]) > phi_margin
+        far &= _pole_distance(u - offset) > phi_margin
     ok[ok] = far
     return ok
 

@@ -38,6 +38,7 @@ import numpy as np
 from .dual import seed, tangent
 from .families import hamiltonian
 from .observables import corruption, family_integrals, integral
+from .phase import PhasePoint
 
 _COORDS = ("r", "phi", "p_r", "p_phi")
 _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
@@ -50,6 +51,19 @@ def elementwise(fn, *args):
         return fn(*args)
     cols = [c.tolist() for c in np.broadcast_arrays(*args)]
     return np.fromiter(map(fn, *cols), float, len(cols[0]))
+
+
+def on_columns(trace, rows, maps=elementwise):
+    """A trace compiled with `columns` on the columns of the (N, 4) array
+    `rows`.  Where numpy flags an overflow, a 0 divide or a NaN, or sin, cos
+    or pow raise or give a non-float, it reruns row by row, raising so."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            out = trace(*rows.T, maps)
+    except (ArithmeticError, ValueError, TypeError):
+        out = zip(*(trace(*row) for row in rows.tolist()))
+    return tuple(np.broadcast_to(np.asarray(col, dtype=float), rows.shape[:1])
+                 for col in out)
 
 
 def _atom(x):
@@ -193,8 +207,9 @@ def monitors(params):
 @functools.lru_cache(maxsize=128)
 def monitor_terms(params):
     """Compiled row(r, phi, p_r, p_phi) -> the size of each monitor's
-    terms, in the order of `monitors(params)`: |F| at couplings zeroed plus
-    |F with one coupling alone - F at couplings zeroed| for each coupling.
+    terms, on floats or columns, in the order of `monitors(params)`: |F|
+    at couplings zeroed plus |F with one coupling alone - F at couplings
+    zeroed| for each coupling.
     H and every bound integral are linear in (k0, k1, k2), so these are
     the parts that sum to F; near a pole they are far larger than F, and
     so is the roundoff F carries."""
@@ -210,7 +225,7 @@ def monitor_terms(params):
             base = fn(zero, *y)
             out.append(abs(base) + sum(abs(fn(p, *y) - base) for p in alone))
         return tuple(out)
-    return compile_traced(sizes, f"monitor_terms {params}")
+    return compile_traced(sizes, f"monitor_terms {params}", columns=True)
 
 
 @functools.lru_cache(maxsize=128)
@@ -219,6 +234,15 @@ def identity_pairs(params, fn):
     flattened into one row compiled for float64 columns."""
     return compile_traced(lambda *y: sum(fn(params, *y), ()),
                           f"identity {fn.__name__} {params}", columns=True)
+
+
+@functools.lru_cache(maxsize=128)
+def value_row(params, fn, on_point=False):
+    """(fn(params, r, phi, p_r, p_phi),), an algebra target, or with
+    `on_point` (fn(params, point),), a law's rate, compiled for columns."""
+    return compile_traced(lambda *y: (fn(params, PhasePoint(*y)) if on_point
+                                      else fn(params, *y),),
+                          f"value {fn.__name__} {params}", columns=True)
 
 
 def _row(fn, params, r, phi, p_r, p_phi):

@@ -11,7 +11,8 @@ import pytest
 from pdmham.brackets import row_bracket
 from pdmham.catalog import CATALOG, lookup
 from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
-                            _require_finite, bracket_residual_suite,
+                            _rank_failures, _require_finite, _worst,
+                            algebra_check, bracket_residual_suite,
                             certificate, corruption_suite,
                             evolution_law_check, identity_suite,
                             independence_stats, involution_check,
@@ -20,8 +21,9 @@ from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
                            UnknownIntegral)
 from pdmham.formulas import kinetic_noether
 from pdmham.observables import integral
-from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
-from pdmham.tracing import gradient_row, identity_pairs, monitors
+from pdmham.phase import (DomainBox, ModelParams, PhasePoint, sample_draws,
+                          sample_points)
+from pdmham.tracing import gradient_row, identity_pairs, monitors, value_row
 
 COUPLINGS = (1.0, 0.6, 0.35)
 
@@ -157,6 +159,121 @@ def test_independence_matches_a_per_point_svd(family, n, names):
             failures.append((pt, tuple(float(s) for s in sv)))
     want = (hits / len(points), tuple(failures))
     assert independence_stats(params, None, names, points) == want
+
+
+def _stack_svd_failures(stack):
+    """The rank rule over one SVD of the whole stack, as (index, bytes)."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    full = (sv[:, 0] != 0.0) & (np.sum(
+        sv > RANK_REL_THRESHOLD * sv[:, :1], axis=1) == stack.shape[1])
+    return [(i, s.tobytes()) for i, (s, ok) in enumerate(zip(sv, full))
+            if not ok]
+
+
+def _rank_stack(k, rng):
+    """(k, 4) matrices on and around the rank rule's edges."""
+    def with_sv(sv):
+        u = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(4, k)))[0]
+        return (u * sv) @ v.T
+    base = []
+    for ratio in (1e-12, 1e-8 * (1 - 1e-6), 1e-8 * (1 + 1e-6), 1e-5, 1e-3):
+        base += [with_sv(np.geomspace(1.0, ratio, k)),
+                 with_sv([1.0] * (k - 1) + [ratio])]
+    repeated, zero_row = rng.normal(size=(2, k, 4))
+    repeated[-1] = repeated[0]
+    zero_row[-1] = 0.0
+    base += [repeated, zero_row, np.zeros((k, 4)), rng.normal(size=(k, 4))]
+    infinite = rng.normal(size=(2, k, 4))
+    infinite[0, 0, 1], infinite[1] = math.inf, -math.inf
+    # 1e-158 and 1e-160 leave G subnormal unless P is scaled first
+    scaled = [m * f for m in base
+              for f in (1e150, 1e-150, 1e-158, 1e-160, 1e300, 1e-300)]
+    return np.array(base + scaled + list(infinite))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rank_screen_agrees_with_one_svd_of_the_stack(k):
+    # the Gram screen sends every matrix it cannot clear to the SVD, so
+    # the failures and their singular values are the full SVD's, bit for
+    # bit; a NaN makes both raise
+    rng = np.random.default_rng(k)
+    stack = _rank_stack(k, rng)
+    want = _stack_svd_failures(stack)
+    assert len(want) >= 20 and len(want) < len(stack) - 10
+    got = [(i, np.array(sv).tobytes()) for i, sv in _rank_failures(stack)]
+    assert got == want
+    stack[3, 0, 2] = math.nan
+    for rule in (_stack_svd_failures, _rank_failures):
+        with pytest.raises(np.linalg.LinAlgError):
+            rule(stack)
+
+
+@pytest.mark.parametrize("family,n", [("nc1", 3.0), ("nd", 0.5),
+                                      ("na", -1.0)])
+def test_columns_from_draws_are_the_sampled_points(family, n):
+    # the certificate's columns hold the draws; each point read from them
+    # is the PhasePoint `sample_points` returns, and `_worst` names it
+    params = ModelParams(family, n, *COUPLINGS)
+    box = DomainBox(seed=4)
+    points = sample_points(params, box, 200)
+    cols = _Columns(draws=sample_draws(params, box, 200))
+    assert len(cols) == 200 and cols[:8] == points[:8]
+    for got, want in zip(cols, points):
+        assert struct.pack("4d", *got.as_tuple()) == struct.pack(
+            "4d", *want.as_tuple())
+    residuals = np.zeros((200, 2))
+    residuals[137, 1] = math.nan
+    messages = []
+    for where in (cols, _Columns(points)):
+        with pytest.raises(NonFinite) as exc:
+            _worst("check", residuals, where)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"= {points[137].as_tuple()}")
+
+
+@pytest.mark.parametrize("family,n", [(family, n)
+                                      for family in ("na_prime", "nd")
+                                      for n in (-1.0, 0.5, 2.0, 3.0)])
+def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
+    # one trace per rate and per target on the columns gives the floats
+    # the catalog's functions give point by point, and the checks their
+    # residuals, bytes for bytes
+    params = ModelParams(family, n, *COUPLINGS)
+    points = sample_points(params, DomainBox(seed=7), 300)
+    cols = _Columns(points)
+    fam = lookup(family)
+    for _, _, rate in fam.laws:
+        col, = cols.evaluate(value_row(params, rate, on_point=True))
+        assert col.tobytes() == struct.pack(
+            "300d", *(rate(params, pt) for pt in points))
+    for _, _, _, rhs in fam.algebra:
+        col, = cols.evaluate(value_row(params, rhs))
+        assert col.tobytes() == struct.pack(
+            "300d", *(rhs(params, *pt.as_tuple()) for pt in points))
+    h = gradient_row(params, integral(family, "H"))
+    for (label, (re, im), rate) in fam.laws:
+        worst = 0.0
+        for pt in points:
+            y = pt.as_tuple()
+            zr, zi, g = gradient_row(params, re)(*y), \
+                gradient_row(params, im)(*y), h(*y)
+            c = rate(params, pt)
+            scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
+            worst = max(worst, abs(row_bracket(zr, g) + c * zi[0]) / scale,
+                        abs(row_bracket(zi, g) - c * zr[0]) / scale)
+        got = evolution_law_check(params, None, points)[f"{label}_law"]
+        assert struct.pack("d", got) == struct.pack("d", worst)
+    for name, a, b, rhs in fam.algebra:
+        fa = gradient_row(params, integral(family, a))
+        fb = gradient_row(params, integral(family, b))
+        worst = max(abs(row_bracket(fa(*pt.as_tuple()), fb(*pt.as_tuple()))
+                        - rhs(params, *pt.as_tuple())) / _scale(
+            fa(*pt.as_tuple())[0], fb(*pt.as_tuple())[0], pt)
+            for pt in points)
+        got = algebra_check(params, None, points)[name]
+        assert struct.pack("d", got) == struct.pack("d", worst)
 
 
 def test_claimed_triples_independent():

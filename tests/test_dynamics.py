@@ -13,6 +13,7 @@ from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, A, B, E3,
                              integrate, time_reversal_defect)
 from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
+from pdmham.tracing import monitor_terms
 
 GEO0 = ModelParams("geodesic", 0.0, 0.0, 0.0, 0.0)
 
@@ -367,6 +368,23 @@ def test_drift_report_scales_by_the_size_of_the_terms():
     assert rep.drifts[0].rel_drift == pytest.approx(0.1)
     with pytest.raises(NonFinite):
         drift_report(traj, terms=lambda r, phi, p_r, p_phi: (math.inf,))
+
+
+@pytest.mark.parametrize("family,n", [("nc1", 3.0), ("nd", 2.0),
+                                      ("na_prime", -1.0), ("nb", 0.5)])
+def test_drift_report_terms_on_columns_are_the_per_state_loop(family, n):
+    # the term sizes run as one trace on the states' columns; the report
+    # is the one the row function gives state by state, bit for bit
+    params = ModelParams(family, n, 1.0, 0.6, 0.35)
+    start = sample_points(params, DomainBox(seed=3), 1)[0]
+    traj = integrate(params, start, IntegratorConfig(t_end=5.0))
+    terms = monitor_terms(params)
+    sizes = np.max([terms(*y) for y in traj.states.tolist()], axis=0)
+    want = [float(np.max(np.abs(series - series[0]))) / max(
+        1.0, abs(series[0]), size)
+        for series, size in zip(traj.monitors.values(), sizes)]
+    got = [d.rel_drift for d in drift_report(traj, terms=terms).drifts]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_drift_report_empty_trajectory():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pdmham.errors import (AngularSingularity, DegenerateN, EmptyDomain,
                            NonFinite, RadiusNonPositive, UnknownFamily)
 from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                          check_point, polar_to_cartesian, sample_points,
-                          singular_distance)
+                          _pole_distance, check_point, polar_to_cartesian,
+                          sample_points, singular_distance)
 
 
 def test_families_tuple():
@@ -188,6 +188,26 @@ def test_sampling_matches_check_point_where_k_n_phi_overflows(family, n,
     for seed in range(4):
         box = DomainBox(seed=seed)
         assert _sampled(params, box, count) == _outcome(params, box, count)
+
+
+def test_pole_distance_is_the_remainder_of_pi():
+    # the exact fold of fmod is abs(math.remainder(u, pi)) bit for bit:
+    # 1 ulp either side of k pi/2, at -0.0, and out to |u| = 1e300
+    halves = [k * (0.5 * math.pi) for k in range(-2000, 2001)]
+    halves += [k * math.pi for k in (1e6, 3e9, 7e12, 1e15, 2.5e17)]
+    u = [w for h in halves for w in (math.nextafter(h, -math.inf), h,
+                                     math.nextafter(h, math.inf))]
+    wide = np.random.default_rng(0).uniform(-300.0, 300.0, 20000)
+    u += [-0.0, 0.0, 1e300, -1e300, math.pi, -math.pi]
+    u += (np.sign(wide) * 10.0 ** np.abs(wide)).tolist()
+    want = [abs(math.remainder(x, math.pi)) for x in u]
+    assert _pole_distance(np.array(u)).tobytes() == np.array(want).tobytes()
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError) as ours, np.errstate(all="ignore"):
+            _pole_distance(np.array([1.0, bad]))
+        with pytest.raises(ValueError) as libm:
+            math.remainder(bad, math.pi)
+        assert str(ours.value) == str(libm.value)
 
 
 def test_polar_to_cartesian_position():
