@@ -15,7 +15,9 @@ values.  The sampling seed defaults to 0.
 """
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from .catalog import CATALOG
@@ -32,6 +34,11 @@ EXIT_ABORT = 3
 # n = 0 reduction targets for the four flat-plane reference tags
 XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
                    if fam.reduction}
+
+# argparse's own matcher takes only -1 and -1.5 for negative numbers, so
+# `--k0 -1e-3` or `--pphi0 -inf` would read as an unknown option
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
 def _params(family, n, args, parser):
@@ -195,6 +202,8 @@ def build_parser():
     p_x.add_argument("--seed", type=int, default=0)
     p_x.add_argument("--config")
 
+    for each in (parser, *subs.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -219,11 +228,18 @@ def _config_defaults(args, parser):
     return {key: str(val) for key, val in cfg.items() if val is not None}
 
 
+# one parser per process; nothing may change it after it is built
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
-    # the file's values become defaults, so explicit flags override them
+    # the file's values become defaults, so explicit flags override them;
+    # they go on a parser of this call's own, never on the shared one
     if getattr(args, "config", None):
+        parser = build_parser()
+        args = parser.parse_args(argv)
         args.sub.set_defaults(**_config_defaults(args, parser))
         args = parser.parse_args(argv)
     for name in args.required:
