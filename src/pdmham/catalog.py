@@ -51,8 +51,9 @@ class Family:
     (lhs, rhs) pairs that agree pointwise; each `algebra` entry is
     (name, A, B, rhs) for {A, B} = rhs; each `laws` entry is
     (label, (Z1, Z2), rate) for the complex-factor evolution law
-    {Z, H} = i c Z with c = rate(params, point); `conserved_product` holds
-    the (Re, Im) parts of a factor product that commutes with H.
+    {Z, H} = i c Z with c = rate(params, r, phi, p_r, p_phi);
+    `conserved_product` holds the (Re, Im) parts of a factor product that
+    commutes with H.
     """
 
     name: str
@@ -79,16 +80,16 @@ class Family:
 # Evolution-law rates: na_prime's M and N turn at 2 (n-1) r^{2(n-1)} p_phi
 # (lambda of the s61 convention, (n-1) inside), nd's A and N at -/+ (n-1)
 # times r^{2(n-1)} p_phi (lambda of the s62 convention, (n-1) outside).
-def _doubled_rate(p, pt):
-    return 2.0 * ((p.n - 1.0) * pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
+def _doubled_rate(p, r, phi, p_r, p_phi):
+    return 2.0 * ((p.n - 1.0) * r ** (2.0 * (p.n - 1.0)) * p_phi)
 
 
-def _a_rate(p, pt):
-    return -(p.n - 1.0) * (pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
+def _a_rate(p, r, phi, p_r, p_phi):
+    return -(p.n - 1.0) * (r ** (2.0 * (p.n - 1.0)) * p_phi)
 
 
-def _single_rate(p, pt):
-    return (p.n - 1.0) * (pt.r ** (2.0 * (p.n - 1.0)) * pt.p_phi)
+def _single_rate(p, r, phi, p_r, p_phi):
+    return (p.n - 1.0) * (r ** (2.0 * (p.n - 1.0)) * p_phi)
 
 
 # The reduction maps: the b-map flips the sign of k2 and the d-map rescales

@@ -33,7 +33,8 @@ from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
 from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
                      NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
-from .observables import corruption_parts, family_integrals, integral
+from .observables import (corruption, corruption_parts, family_integrals,
+                          integral)
 from .phase import DomainBox, PhasePoint, sample_draws
 from .tracing import (elementwise, gradient_row, identity_pairs,
                       monitor_terms, monitors, on_columns, value_row)
@@ -121,12 +122,10 @@ class Certificate:
 class _Columns:
     """Sample points as an (N, 4) float64 array `draws`, its four columns,
     and memos of the gradient rows and element-wise maps evaluated on them.
-    Given points are kept; from draws, a PhasePoint is built where read."""
+    A PhasePoint is built where one is read."""
 
-    def __init__(self, points=None, draws=None):
-        if draws is None:
-            draws = np.array([pt.as_tuple() for pt in points]).reshape(-1, 4)
-        self._points, self.draws = points, draws
+    def __init__(self, draws):
+        self.draws = draws
         self.r, self.phi, self.p_r, self.p_phi = draws.T
         self._rows = {}
         self._maps = {}
@@ -135,8 +134,6 @@ class _Columns:
         return len(self.draws)
 
     def __getitem__(self, i):
-        if self._points is not None:
-            return self._points[i]
         if isinstance(i, slice):
             return [PhasePoint(*d) for d in self.draws[i].tolist()]
         return PhasePoint(*self.draws[i].tolist())
@@ -153,11 +150,11 @@ class _Columns:
         """`tracing.on_columns` of a trace compiled with `columns`."""
         return on_columns(trace, self.draws, self.map)
 
-    def row(self, params, fn, variant=None):
+    def row(self, params, fn):
         """`tracing.gradient_row` on the columns, once per key."""
-        key = (params, fn, variant)
+        key = (params, fn)
         if key not in self._rows:
-            self._rows[key] = self.evaluate(gradient_row(params, fn, variant))
+            self._rows[key] = self.evaluate(gradient_row(params, fn))
         return self._rows[key]
 
 
@@ -166,8 +163,8 @@ def _columns(params, sample, points=None):
     if isinstance(points, _Columns):
         return points
     if points is None:
-        return _Columns(draws=sample_draws(params, sample.box, sample.count))
-    return _Columns(points)
+        return _Columns(sample_draws(params, sample.box, sample.count))
+    return _Columns(np.array([pt.as_tuple() for pt in points]).reshape(-1, 4))
 
 
 def _worst(check, residuals, points):
@@ -184,12 +181,12 @@ def _worst(check, residuals, points):
 
 
 @np.errstate(all="ignore")
-def _residuals(params, f, points, g=None, variant=None):
+def _residuals(params, f, points, g=None):
     """Scaled |{F, G}| at each of the `_Columns` points, G = H unless
-    given; `variant` applies to F."""
+    given."""
     if g is None:
         g = integral(params.family, "H")
-    f_row, g_row = points.row(params, f, variant), points.row(params, g)
+    f_row, g_row = points.row(params, f), points.row(params, g)
     return abs(row_bracket(f_row, g_row)) / bracket_scale(
         f_row[0], g_row[0], points)
 
@@ -205,14 +202,15 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
         raise UnknownIntegral(f"{params.family} does not bind {corrupt!r}")
     out = {}
     for obs in lookup(params.family).bound:
-        part = None
+        f = obs
         if obs.name == corrupt:
             part = _corruption_part(obs, params, points[:8])
             if part is None:
                 raise ValueError(
                     f"corruption of single-term integral {obs.name} is inert")
+            f = corruption(obs, params, part)
         out[obs.name] = _worst(f"bracket:{obs.name}", _residuals(
-            params, obs, points, variant=part), points)
+            params, f, points), points)
     return out
 
 
@@ -355,7 +353,7 @@ def evolution_law_check(params, sample, points=None):
     out = {}
     for label, (re, im), rate in fam.laws:
         zr, zi = points.row(params, re), points.row(params, im)
-        c, = points.evaluate(value_row(params, rate, on_point=True))
+        c, = points.evaluate(value_row(params, rate))
         scale = bracket_scale(points.map(math.hypot, zr[0], zi[0]), h[0],
                               points)
         # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re;
@@ -401,7 +399,7 @@ def corruption_suite(params, sample, points=None):
         if part is None:
             inert.append(obs.name)
             continue
-        res = _residuals(params, obs, points, variant=part)
+        res = _residuals(params, corruption(obs, params, part), points)
         results[obs.name] = _worst(f"negative_control:{obs.name}", res,
                                    points)
     return results, tuple(inert)

@@ -10,8 +10,8 @@ Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
 invalid parameters, 3 integration aborted early (partial CSV still
 written).  `build_parser` declares each flag once, with its default.
 Every flag can instead come from a flat JSON config file (`--config`),
-whose numbers and strings parse as if typed; explicit flags override file
-values.  The sampling seed defaults to 0.
+whose values are checked exactly as typed flags, `choices` included;
+explicit flags override file values.  The sampling seed defaults to 0.
 """
 
 import argparse
@@ -127,8 +127,6 @@ def cmd_integrate(args, parser):
 
 def cmd_xcheck(args, parser):
     which = args.which
-    if which not in XCHECK_FAMILIES:
-        parser.error(f"unknown tag {which!r} (choose from a, b, c, d)")
     params = _params(XCHECK_FAMILIES[which], 0.0, args, parser)
     box = twin_box(params, args.seed)
     try:
@@ -207,8 +205,8 @@ def build_parser():
     return parser
 
 
-def _config_defaults(args, parser):
-    """The config file's non-null values, keyed by the subcommand's flags."""
+def _config_args(args, parser):
+    """The config file's non-null values as `--flag=value` arguments."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -216,16 +214,18 @@ def _config_defaults(args, parser):
         parser.error(f"cannot read config {args.config}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config {args.config} must be a flat JSON object")
-    flags = {a.dest for a in args.sub._actions} - {"help", "config"}
-    unknown = sorted(set(cfg) - flags)
+    flags = {a.dest: a.option_strings[0] for a in args.sub._actions
+             if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(flags))
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
     nested = sorted(key for key, val in cfg.items()
                     if isinstance(val, (list, dict)))
     if nested:
         parser.error(f"config values must be scalars: {', '.join(nested)}")
-    # as strings the values go through each flag's own type, as if typed
-    return {key: str(val) for key, val in cfg.items() if val is not None}
+    # parsed as typed: through each flag's own type and choices
+    return [f"{flags[key]}={val}" for key, val in cfg.items()
+            if val is not None]
 
 
 # one parser per process; nothing may change it after it is built
@@ -234,14 +234,13 @@ _shared_parser = functools.cache(build_parser)
 
 def main(argv=None):
     parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    # the file's values become defaults, so explicit flags override them;
-    # they go on a parser of this call's own, never on the shared one
+    # the file's values go right after the subcommand, the first word (pdm
+    # takes no option of its own), so the flags given after them win
     if getattr(args, "config", None):
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        args.sub.set_defaults(**_config_defaults(args, parser))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[:1] + _config_args(args, parser)
+                                 + argv[1:])
     for name in args.required:
         if getattr(args, name) is None:
             parser.error(f"--{name.replace('_', '-')} is required")

@@ -5,9 +5,6 @@ pass per gradient.  Tangent entries use the same arithmetic as the value, so
 a Dual whose value is itself a Dual carries exact second derivatives; the
 curvature check relies on that.  Besides arithmetic and real powers, `sin`
 and `cos` are the only functions: the formulas take no other.
-
-Tangent arithmetic is unrolled over the four fixed slots; the unrolled
-forms are about twice as fast as tuple comprehensions.
 """
 
 import math
@@ -29,73 +26,58 @@ class Dual:
         self.tan = tan
 
     def __add__(self, other):
-        t = self.tan
         if isinstance(other, Dual):
-            o = other.tan
             return Dual(self.val + other.val,
-                        (t[0] + o[0], t[1] + o[1], t[2] + o[2], t[3] + o[3]))
-        return Dual(self.val + other, t)
+                        tuple(a + b for a, b in zip(self.tan, other.tan)))
+        return Dual(self.val + other, self.tan)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = self.tan
         if isinstance(other, Dual):
-            o = other.tan
             return Dual(self.val - other.val,
-                        (t[0] - o[0], t[1] - o[1], t[2] - o[2], t[3] - o[3]))
-        return Dual(self.val - other, t)
+                        tuple(a - b for a, b in zip(self.tan, other.tan)))
+        return Dual(self.val - other, self.tan)
 
     def __rsub__(self, other):
-        t = self.tan
-        return Dual(other - self.val, (-t[0], -t[1], -t[2], -t[3]))
+        return Dual(other - self.val, tuple(-a for a in self.tan))
 
     def __mul__(self, other):
-        t = self.tan
         v = self.val
         if isinstance(other, Dual):
-            o = other.tan
             w = other.val
-            return Dual(v * w, (t[0] * w + v * o[0], t[1] * w + v * o[1],
-                                t[2] * w + v * o[2], t[3] * w + v * o[3]))
-        return Dual(v * other,
-                    (t[0] * other, t[1] * other, t[2] * other, t[3] * other))
+            return Dual(v * w, tuple(a * w + v * b
+                                     for a, b in zip(self.tan, other.tan)))
+        return Dual(v * other, tuple(a * other for a in self.tan))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        t = self.tan
         if isinstance(other, Dual):
             inv = 1.0 / other.val
             q = self.val * inv
-            o = other.tan
-            return Dual(q, ((t[0] - q * o[0]) * inv, (t[1] - q * o[1]) * inv,
-                            (t[2] - q * o[2]) * inv, (t[3] - q * o[3]) * inv))
+            return Dual(q, tuple((a - q * b) * inv
+                                 for a, b in zip(self.tan, other.tan)))
         inv = 1.0 / other
-        return Dual(self.val * inv,
-                    (t[0] * inv, t[1] * inv, t[2] * inv, t[3] * inv))
+        return Dual(self.val * inv, tuple(a * inv for a in self.tan))
 
     def __rtruediv__(self, other):
         # other / self for a plain scalar `other`
         inv = 1.0 / self.val
         q = other * inv
         w = -q * inv
-        t = self.tan
-        return Dual(q, (w * t[0], w * t[1], w * t[2], w * t[3]))
+        return Dual(q, tuple(w * a for a in self.tan))
 
     def __neg__(self):
-        t = self.tan
-        return Dual(-self.val, (-t[0], -t[1], -t[2], -t[3]))
+        return Dual(-self.val, tuple(-a for a in self.tan))
 
     def __pow__(self, p):
         # real exponent; base must stay positive unless p is integral
         w = p * self.val ** (p - 1)
-        t = self.tan
-        return Dual(self.val ** p, (w * t[0], w * t[1], w * t[2], w * t[3]))
+        return Dual(self.val ** p, tuple(w * a for a in self.tan))
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.tan!r})"
-
 
 def value(x):
     """Innermost plain value of a possibly nested dual."""
@@ -126,8 +108,7 @@ def seed(r, phi, p_r, p_phi):
 def sin(x):
     if isinstance(x, Dual):
         c = cos(x.val)
-        t = x.tan
-        return Dual(sin(x.val), (c * t[0], c * t[1], c * t[2], c * t[3]))
+        return Dual(sin(x.val), tuple(c * a for a in x.tan))
     try:
         return math.sin(x)
     except TypeError:
@@ -139,8 +120,7 @@ def sin(x):
 def cos(x):
     if isinstance(x, Dual):
         s = sin(x.val)
-        t = x.tan
-        return Dual(cos(x.val), (-s * t[0], -s * t[1], -s * t[2], -s * t[3]))
+        return Dual(cos(x.val), tuple(-s * a for a in x.tan))
     try:
         return math.cos(x)
     except TypeError:

@@ -7,6 +7,7 @@ The formulas themselves live in `formulas` (the complex factors M, A and N
 among them), their binding in `catalog`.
 """
 
+import functools
 from dataclasses import replace
 
 from .catalog import Integral, lookup
@@ -57,12 +58,15 @@ def corruption_parts(obs, params):
     return {"momentum": momentum, "radial": radial}
 
 
+@functools.lru_cache(maxsize=256)
 def corruption(obs, params, part):
-    """obs plus CORRUPTION_FACTOR times its part named `part`."""
+    """obs plus CORRUPTION_FACTOR times its part named `part`, as an
+    `Integral` named "<obs> <part>"; one object per key, so the traces
+    cached on it are reused."""
     scaled = corruption_parts(obs, params)[part]
 
     def corrupt(p, r, phi, p_r, p_phi):
         return obs(p, r, phi, p_r, p_phi) + CORRUPTION_FACTOR * scaled(
             p, r, phi, p_r, p_phi)
 
-    return corrupt
+    return Integral(f"{obs.name} {part}", corrupt, obs.degree)

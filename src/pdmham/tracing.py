@@ -15,13 +15,14 @@ result into a NaN or a complex number, or raise.  Repeated subexpressions
 are computed once.
 
 A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of a function the
-catalog holds feeds the sampled certificate checks, cached per (params,
-function, variant).  F comes from the float trace of F, as in the monitor
-row, because the value part of a dual can differ from the float path by
-an ulp; the partials come from the tangents of one seeded dual pass.  On
-float64 columns, rows and identity pairs give their floats point by point:
-numpy's `+ - * / abs` round as Python's; `sin`, `cos` and `**` map math's
-(`maps`, one memo per certificate), as numpy's own can be an ulp off.
+catalog holds, or of a corrupted integral, feeds the sampled certificate
+checks, cached per (params, function).  F comes from the float trace of
+F, as in the monitor row, because the value part of a dual can differ
+from the float path by an ulp; the partials come from the tangents of one
+seeded dual pass.  On float64 columns, rows and identity pairs give their
+floats point by point: numpy's `+ - * / abs` round as Python's; `sin`,
+`cos` and `**` map math's (`maps`, one memo per certificate), as numpy's
+own can be an ulp off.
 
 `Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
 all the formulas and `Dual` take.  It has no truth value and no
@@ -37,8 +38,7 @@ import numpy as np
 
 from .dual import seed, tangent
 from .families import hamiltonian
-from .observables import corruption, family_integrals, integral
-from .phase import PhasePoint
+from .observables import family_integrals, integral
 
 _COORDS = ("r", "phi", "p_r", "p_phi")
 _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
@@ -237,11 +237,10 @@ def identity_pairs(params, fn):
 
 
 @functools.lru_cache(maxsize=128)
-def value_row(params, fn, on_point=False):
-    """(fn(params, r, phi, p_r, p_phi),), an algebra target, or with
-    `on_point` (fn(params, point),), a law's rate, compiled for columns."""
-    return compile_traced(lambda *y: (fn(params, PhasePoint(*y)) if on_point
-                                      else fn(params, *y),),
+def value_row(params, fn):
+    """(fn(params, r, phi, p_r, p_phi),), an algebra target or a law's
+    rate, compiled for columns."""
+    return compile_traced(lambda *y: (fn(params, *y),),
                           f"value {fn.__name__} {params}", columns=True)
 
 
@@ -251,21 +250,18 @@ def _row(fn, params, r, phi, p_r, p_phi):
 
 
 @functools.lru_cache(maxsize=512)
-def gradient_row(params, fn, variant=None):
+def gradient_row(params, fn):
     """Compiled row(r, phi, p_r, p_phi) -> (F, dF/dr, dF/dphi, dF/dp_r,
     dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi), at one point or on
     float64 columns (where an entry no coordinate reaches stays a float).
 
     `fn` is a function as the catalog holds it: an `Integral`, H or T
     (`observables.integral`), a part of a complex factor in `laws` or
-    `conserved_product`; these live as long as the module, so the cache
-    hits.  `variant` names the part whose corruption replaces F (see
-    `observables.corruption`).  The Killing part of an integral is its
-    plain row at couplings zeroed.
+    `conserved_product`, or a corrupted integral
+    (`observables.corruption`); each is one object per key, so the cache
+    hits.  The Killing part of an integral is its plain row at couplings
+    zeroed.
     """
     name = getattr(fn, "name", None) or fn.__name__
-    if variant is not None:
-        fn = corruption(fn, params, variant)
     return compile_traced(functools.partial(_row, fn, params),
-                          f"gradient_row {name} {variant} {params}",
-                          columns=True)
+                          f"gradient_row {name} {params}", columns=True)

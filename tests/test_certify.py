@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pdmham import tracing
 from pdmham.brackets import row_bracket
 from pdmham.catalog import CATALOG, lookup
 from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
-                            _rank_failures, _require_finite, _worst,
+                            _columns, _rank_failures, _require_finite, _worst,
                             algebra_check, bracket_residual_suite,
                             certificate, corruption_suite,
                             evolution_law_check, identity_suite,
@@ -20,7 +21,8 @@ from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
 from pdmham.errors import (DegenerateN, NonFinite, NoQuadraticIntegral,
                            UnknownIntegral)
 from pdmham.formulas import kinetic_noether
-from pdmham.observables import integral
+from pdmham.dynamics import IntegratorConfig
+from pdmham.observables import corruption, integral
 from pdmham.phase import (DomainBox, ModelParams, PhasePoint, sample_draws,
                           sample_points)
 from pdmham.tracing import gradient_row, identity_pairs, monitors, value_row
@@ -217,7 +219,7 @@ def test_columns_from_draws_are_the_sampled_points(family, n):
     params = ModelParams(family, n, *COUPLINGS)
     box = DomainBox(seed=4)
     points = sample_points(params, box, 200)
-    cols = _Columns(draws=sample_draws(params, box, 200))
+    cols = _Columns(sample_draws(params, box, 200))
     assert len(cols) == 200 and cols[:8] == points[:8]
     for got, want in zip(cols, points):
         assert struct.pack("4d", *got.as_tuple()) == struct.pack(
@@ -225,7 +227,7 @@ def test_columns_from_draws_are_the_sampled_points(family, n):
     residuals = np.zeros((200, 2))
     residuals[137, 1] = math.nan
     messages = []
-    for where in (cols, _Columns(points)):
+    for where in (cols, _columns(params, None, points)):
         with pytest.raises(NonFinite) as exc:
             _worst("check", residuals, where)
         messages.append(str(exc.value))
@@ -242,12 +244,12 @@ def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
     # residuals, bytes for bytes
     params = ModelParams(family, n, *COUPLINGS)
     points = sample_points(params, DomainBox(seed=7), 300)
-    cols = _Columns(points)
+    cols = _columns(params, None, points)
     fam = lookup(family)
     for _, _, rate in fam.laws:
-        col, = cols.evaluate(value_row(params, rate, on_point=True))
+        col, = cols.evaluate(value_row(params, rate))
         assert col.tobytes() == struct.pack(
-            "300d", *(rate(params, pt) for pt in points))
+            "300d", *(rate(params, *pt.as_tuple()) for pt in points))
     for _, _, _, rhs in fam.algebra:
         col, = cols.evaluate(value_row(params, rhs))
         assert col.tobytes() == struct.pack(
@@ -259,7 +261,7 @@ def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
             y = pt.as_tuple()
             zr, zi, g = gradient_row(params, re)(*y), \
                 gradient_row(params, im)(*y), h(*y)
-            c = rate(params, pt)
+            c = rate(params, *y)
             scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
             worst = max(worst, abs(row_bracket(zr, g) + c * zi[0]) / scale,
                         abs(row_bracket(zi, g) - c * zr[0]) / scale)
@@ -321,6 +323,28 @@ def test_corruption_suite_shape():
     assert all(v > 1e-3 for v in results.values())
 
 
+def test_a_second_certificate_at_equal_params_compiles_no_trace(
+        monkeypatch):
+    # the corrupted integrals of the negative control are one object per
+    # key, so the traces cached on them serve every later certificate
+    params = ModelParams("nc1", 2.5, *COUPLINGS)
+    obs = integral("nc1", "Jc2")
+    assert corruption(obs, params, "momentum") is corruption(
+        obs, params, "momentum")
+    sample, config = _sample(count=40, seed=9), IntegratorConfig(t_end=1.0)
+    first = certificate(params, sample, config)
+    labels = []
+    real = tracing.compile_traced
+
+    def counting(fn, label, columns=False):
+        labels.append(label)
+        return real(fn, label, columns)
+
+    monkeypatch.setattr(tracing, "compile_traced", counting)
+    assert certificate(params, sample, config) == first
+    assert labels == []
+
+
 def test_certificate_check_lookup_raises(nd_cert):
     with pytest.raises(KeyError):
         nd_cert.check("no_such_check")
@@ -363,7 +387,7 @@ def test_plain_point_lists_give_the_certificate_checks(family):
     results, inert = corruption_suite(params, sample, points)
     assert min(results.values()) == residual("negative_control")
     # what the certificate reports only in part, against its columns
-    cols = _Columns(points)
+    cols = _columns(params, None, points)
     assert (fraction, failures) == independence_stats(params, sample,
                                                       points=cols)
     assert (results, inert) == corruption_suite(params, sample, cols)
@@ -447,7 +471,7 @@ def test_evolution_law_names_the_first_non_finite_point_re_then_im():
             y = pt.as_tuple()
             zr, zi, g = gradient_row(params, re)(*y), \
                 gradient_row(params, im)(*y), h(*y)
-            c = rate(params, pt)
+            c = rate(params, *y)
             scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
             yield abs(row_bracket(zr, g) + c * zi[0]) / scale, pt
             yield abs(row_bracket(zi, g) - c * zr[0]) / scale, pt
@@ -477,7 +501,7 @@ def test_identity_suite_equals_a_pointwise_rel_loop(family, n):
     # byte for byte
     params = ModelParams(family, n, 0.7, 0.3, -0.2)
     points = sample_points(params, DomainBox(seed=6), 300)
-    cols = _Columns(points)
+    cols = _columns(params, None, points)
     suite = identity_suite(params, None, points)
     assert list(suite) == [name for name, _ in _identities(family)]
     for name, fn in _identities(family):
@@ -550,9 +574,9 @@ def test_require_finite_names_the_loops_first_non_finite_monitor(odd,
     want = _first_non_finite_monitor(params, points)
     assert want.startswith(first)
     with pytest.raises(NonFinite) as exc:
-        _require_finite(params, _Columns(points))
+        _require_finite(params, _columns(params, None, points))
     assert str(exc.value) == want
     # without the crafted points the columns pass on their own
-    fine = _Columns(points[::2])
+    fine = _columns(params, None, points[::2])
     assert _first_non_finite_monitor(params, fine) is None
     _require_finite(params, fine)

@@ -246,6 +246,44 @@ def test_flags_override_config(tmp_path, capsys):
     assert "tag d" in capsys.readouterr().out
 
 
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,typed", [
+    ("check", {"family": "bogus", "n": 2}, ["--family", "bogus", "--n", "2"]),
+    ("xcheck", {"which": "z"}, ["--which", "z"]),
+])
+def test_config_value_outside_the_choices_fails_as_typed(
+        tmp_path, capsys, command, config, typed):
+    # argparse names the flag and lists its choices for a typed value; a
+    # file's value gets the same message
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    want = _usage_error([command, *typed], capsys)
+    assert "invalid choice" in want
+    assert _usage_error([command, "--config", str(cfg)], capsys) == want
+
+
+@pytest.mark.parametrize("command,config,typed,message", [
+    ("check", {"family": "nc", "n": 2, "samples": 2.5}, ["--samples", "30"],
+     "argument --samples: invalid int value: '2.5'"),
+    ("check", {"family": "bogus", "n": 2}, ["--family", "nc"],
+     "argument --family: invalid choice: 'bogus'"),
+    ("xcheck", {"which": "z"}, ["--which", "a"],
+     "argument --which: invalid choice: 'z'"),
+])
+def test_a_bad_config_value_is_an_error_though_a_flag_overrides_it(
+        tmp_path, capsys, command, config, typed, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert message in _usage_error([command, "--config", str(cfg), *typed],
+                                   capsys)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"family": "nd", "n": 3, "oops": 1}))

@@ -94,14 +94,14 @@ def test_lambda_conventions_differ_by_factor():
     # rate is the opposite
     (_, _, doubled), _ = CATALOG["na_prime"].laws
     (_, _, a_rate), (_, _, single) = CATALOG["nd"].laws
-    point = PhasePoint(1.4, 0.8, 0.3, -0.9)
+    y = (1.4, 0.8, 0.3, -0.9)
     for n in (-1.0, 2.0, 3.5):
-        s61 = 0.5 * doubled(ModelParams("na_prime", n), point)
-        s62 = point.r ** (2.0 * (n - 1.0)) * point.p_phi
+        s61 = 0.5 * doubled(ModelParams("na_prime", n), *y)
+        s62 = y[0] ** (2.0 * (n - 1.0)) * y[3]
         assert s61 == pytest.approx((n - 1.0) * s62, rel=1e-14)
         nd = ModelParams("nd", n)
-        assert single(nd, point) == pytest.approx((n - 1.0) * s62, rel=1e-14)
-        assert a_rate(nd, point) == -single(nd, point)
+        assert single(nd, *y) == pytest.approx((n - 1.0) * s62, rel=1e-14)
+        assert a_rate(nd, *y) == -single(nd, *y)
 
 
 def test_component_tuples_are_callable_pairs():

@@ -10,7 +10,7 @@ import pytest
 from pdmham.brackets import (gradient, poisson_bracket, row_bracket,
                              scaled_residual)
 from pdmham.catalog import CATALOG
-from pdmham.certify import _Columns, _residuals
+from pdmham.certify import _columns, _residuals
 from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
@@ -93,7 +93,7 @@ def test_each_trace_compiles_under_its_own_file_name():
     traced = [vector_field(params), vector_field(other),
               monitors(params)[1], monitor_terms(params),
               gradient_row(params, h), gradient_row(other, h),
-              gradient_row(params, h, "momentum"),
+              gradient_row(params, corruption(h, params, "momentum")),
               gradient_row(params, integral("na", "Ja2"))]
     names = [fn.__code__.co_filename for fn in traced]
     assert len(set(names)) == len(names)
@@ -101,7 +101,7 @@ def test_each_trace_compiles_under_its_own_file_name():
 
 
 def _row_functions(params):
-    """(row params, function, variant, oracle) for every gradient row the
+    """(row params, function, corrupted) for every gradient row the
     certificate brackets: H, T and each bound integral, both corrupted
     variants of each, the Killing parts (couplings zeroed) and the parts
     of each complex factor."""
@@ -109,14 +109,14 @@ def _row_functions(params):
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
     plain = [integral(params.family, name)
              for name in ("H", "T") + fam.integrals]
-    out = [(params, fn, None, fn) for fn in plain]
-    out += [(params, obs, part, corruption(obs, params, part))
+    out = [(params, fn, False) for fn in plain]
+    out += [(params, corruption(obs, params, part), True)
             for obs in fam.bound for part in ("momentum", "radial")]
-    out += [(zeroed, fn, None, fn) for fn in plain]
+    out += [(zeroed, fn, False) for fn in plain]
     factors = [pair for _, pair, _ in fam.laws]
     if fam.conserved_product:
         factors.append(fam.conserved_product)
-    out += [(params, fn, None, fn) for pair in factors for fn in pair]
+    out += [(params, fn, False) for pair in factors for fn in pair]
     return out
 
 
@@ -132,9 +132,9 @@ def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
     points = sample_points(params, DomainBox(seed=6), 200)
     columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
     # one memo of sin, cos and pow for every row, as a certificate has
-    maps = _Columns(points).map
-    for row_params, key, variant, _ in _row_functions(params):
-        row = gradient_row(row_params, key, variant)
+    maps = _columns(params, None, points).map
+    for row_params, key, _ in _row_functions(params):
+        row = gradient_row(row_params, key)
         with np.errstate(all="raise", under="ignore"):
             got = row(*columns)
             shared = row(*columns, maps)
@@ -142,9 +142,9 @@ def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
         for column, memo, floats in zip(got, shared, want):
             column = np.broadcast_to(np.asarray(column, float), len(points))
             assert column.tobytes() == struct.pack(
-                f"{len(points)}d", *floats), (key, variant)
+                f"{len(points)}d", *floats), key
             assert np.broadcast_to(memo, len(points)).tobytes() == \
-                column.tobytes(), (key, variant)
+                column.tobytes(), key
 
 
 @pytest.mark.parametrize("family,n", ROW_CASES)
@@ -153,12 +153,12 @@ def test_row_brackets_equal_dual_brackets(family, n):
     functions = _row_functions(params)
     points = [pt for box_seed in (3, 4)
               for pt in sample_points(params, DomainBox(seed=box_seed), 20)]
-    cols = _Columns(points)
-    for row_params, key, variant, fn in functions:
-        row = gradient_row(row_params, key, variant)
+    cols = _columns(params, None, points)
+    for row_params, fn, _ in functions:
+        row = gradient_row(row_params, fn)
         h_row = gradient_row(row_params, integral(family, "H"))
         # the certificate's columnar reduction, at each point
-        residuals = _residuals(row_params, key, cols, variant=variant)
+        residuals = _residuals(row_params, fn, cols)
         for pt, residual in zip(points, residuals.tolist()):
             y = pt.as_tuple()
             f, h = row(*y), h_row(*y)
@@ -169,8 +169,8 @@ def test_row_brackets_equal_dual_brackets(family, n):
             assert residual == scaled_residual(
                 fn, hamiltonian, row_params, pt)
     # the pairs of involution and algebra checks
-    plain = [fn for row_params, _, variant, fn in functions
-             if row_params is params and variant is None]
+    plain = [fn for row_params, fn, corrupted in functions
+             if row_params is params and not corrupted]
     for i, fn_a in enumerate(plain):
         for fn_b in plain[i + 1:]:
             residuals = _residuals(params, fn_a, cols, fn_b)
