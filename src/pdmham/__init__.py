@@ -2,15 +2,12 @@
 
 A family catalog of position-dependent-mass systems with extra integrals
 of motion, a forward-mode bracket engine that certifies each conservation
-claim numerically, an adaptive symplectic-flow integrator with invariant
-monitors, and flat-plane cross-checks of the n = 0 reductions.
+claim numerically, an adaptive Dormand-Prince 8(5,3) integrator with
+invariant monitors, and flat-plane cross-checks of the n = 0 reductions.
 """
 
-from .brackets import (BRACKET_TOL, gradient, gradient_fd, poisson_bracket,
-                       poisson_bracket_fd, scaled_residual)
-from .certify import (Certificate, CheckResult, SampleConfig,
-                      bracket_residual_suite, certificate, involution_check,
-                      killing_tensor_check)
+import importlib
+
 from .dual import Dual
 from .dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
                        IntegratorConfig, Trajectory, drift_report,
@@ -24,9 +21,27 @@ from .geometry import (curvature_R1212, killing_components,
                        lie_derivative_metric, metric, noether_p1, noether_p2)
 from .observables import family_integrals, integral
 from .phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                    polar_to_cartesian, sample_points)
+                    SampleConfig, polar_to_cartesian, sample_points)
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "brackets": ("BRACKET_TOL", "gradient", "gradient_fd", "poisson_bracket",
+                 "poisson_bracket_fd", "scaled_residual"),
+    "certify": ("Certificate", "CheckResult", "bracket_residual_suite",
+                "certificate", "involution_check", "killing_tensor_check"),
+}
+
+
+def __getattr__(name):
+    # PEP 562: `brackets` and `certify`, and numpy with them, load when
+    # one of them or of their names is first read
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BRACKET_TOL", "CATALOG", "COMPLETED", "Certificate", "CheckResult",

@@ -35,7 +35,7 @@ from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
 from .formulas import kinetic_noether
 from .observables import (corruption, corruption_parts, family_integrals,
                           integral)
-from .phase import DomainBox, PhasePoint, sample_draws
+from .phase import PhasePoint, SampleConfig, sample_draws
 from .tracing import (elementwise, gradient_row, identity_pairs,
                       monitor_terms, monitors, on_columns, value_row)
 
@@ -47,16 +47,6 @@ EVOLUTION_TOL = 1e-10
 INDEPENDENCE_FRACTION = 0.95
 # least residual every corrupted integral must show
 CONTROL_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    count: int = 200
-    box: DomainBox = DomainBox()
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("sample count must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ import re
 import sys
 
 from .catalog import CATALOG
-from .certify import IDENTITY_TOL, SampleConfig, certificate, identity_residual
 from .dynamics import COMPLETED, IntegratorConfig, drift_report, integrate
 from .errors import EmptyTrajectory, PdmError
 from .families import flat_twin, twin_box
-from .phase import DomainBox, ModelParams, PhasePoint, sample_points
+from .phase import (DomainBox, ModelParams, PhasePoint, SampleConfig,
+                    sample_points)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,6 +39,21 @@ XCHECK_FAMILIES = {fam.reduction.tag: name for name, fam in CATALOG.items()
 # `--k0 -1e-3` or `--pphi0 -inf` would read as an unknown option
 _NEGATIVE_NUMBER = re.compile(
     r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+_CERTIFY_NAMES = ("IDENTITY_TOL", "certificate", "identity_residual")
+
+
+def __getattr__(name):
+    """Bind the certificate names from `certify`, and so load numpy, on
+    the first `check` or `xcheck` (PEP 562); `list` and `integrate` never
+    do.  Once bound they are plain module attributes, so a caller may
+    replace one and the commands call the replacement."""
+    if name not in _CERTIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import certify
+    for each in _CERTIFY_NAMES:
+        globals().setdefault(each, getattr(certify, each))
+    return globals()[name]
 
 
 def _params(family, n, args, parser):
@@ -68,7 +83,7 @@ def cmd_check(args, parser):
     try:
         sample = SampleConfig(count=args.samples,
                               box=DomainBox(seed=args.seed))
-        cert = certificate(params, sample, corrupt=args.corrupt)
+        cert = __getattr__("certificate")(params, sample, corrupt=args.corrupt)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
     payload = cert.to_json()
@@ -89,8 +104,8 @@ def _write_trajectory_csv(fh, traj):
     header = ["t", "r", "phi", "p_r", "p_phi"] + names
     fh.write(",".join(header) + "\n")
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    columns = [traj.times.tolist(), *traj.states.T.tolist(),
-               *(traj.monitors[name].tolist() for name in names)]
+    columns = [traj.times, *zip(*traj.states),
+               *(traj.monitors[name] for name in names)]
     fh.writelines(row % values for values in zip(*columns))
 
 
@@ -131,10 +146,11 @@ def cmd_xcheck(args, parser):
     box = twin_box(params, args.seed)
     try:
         points = sample_points(params, box, args.samples)
-        residual = identity_residual(params, "flat_twin", flat_twin, points)
+        residual = __getattr__("identity_residual")(
+            params, "flat_twin", flat_twin, points)
     except (PdmError, ValueError) as exc:
         parser.error(str(exc))
-    ok = residual <= IDENTITY_TOL
+    ok = residual <= __getattr__("IDENTITY_TOL")
     print(f"tag {which}: {params.family} at n=0 vs flat-plane reference, "
           f"max relative |U - V| = {residual:.3e} over {len(points)} points "
           f"[{'pass' if ok else 'FAIL'}]")

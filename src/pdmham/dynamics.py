@@ -27,8 +27,6 @@ from dataclasses import astuple, dataclass
 from math import isfinite
 from statistics import median
 
-import numpy as np
-
 from .errors import EmptyTrajectory, NonFinite
 from .phase import POLE_MARGIN, PhasePoint, check_point, singular_distance
 from .tracing import monitors, on_columns, vector_field
@@ -136,9 +134,9 @@ def fixed_step_config(h, t_end):
 @dataclass(frozen=True)
 class Trajectory:
     params: object
-    times: np.ndarray
-    states: np.ndarray
-    monitors: dict
+    times: tuple
+    states: tuple           # of (r, phi, p_r, p_phi)
+    monitors: dict          # name -> tuple, one value per state
     termination: str
     n_accepted: int
     n_rejected: int
@@ -158,7 +156,7 @@ class Trajectory:
         """(min, median, max) accepted step size; None with no steps."""
         if len(self.times) < 2:
             return None
-        h = np.diff(self.times).tolist()
+        h = [b - a for a, b in zip(self.times, self.times[1:])]
         return min(h), median(h), max(h)
 
     def state(self, i):
@@ -320,12 +318,12 @@ def integrate(params, initial, config=None):
             termination = STEP_FAILURE
             break
 
-    table = np.asarray(mon_values).reshape(len(times), len(names))
     return Trajectory(
         params=params,
-        times=np.asarray(times),
-        states=np.asarray(states),
-        monitors={name: table[:, j].copy() for j, name in enumerate(names)},
+        times=tuple(times),
+        states=tuple(states),
+        monitors={name: tuple(mon_values[j::len(names)])
+                  for j, name in enumerate(names)},
         termination=termination,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
@@ -346,7 +344,14 @@ class DriftReport:
 
     @property
     def worst(self):
-        return max((d.rel_drift for d in self.drifts), default=0.0)
+        return _max(d.rel_drift for d in self.drifts)
+
+
+def _max(values):
+    """The largest of `values`, from 0.0, or NaN where any is NaN, which
+    `max` drops unless it comes first."""
+    values = [0.0, *values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def drift_report(trajectory, terms=None):
@@ -356,14 +361,17 @@ def drift_report(trajectory, terms=None):
     on the states' columns."""
     if len(trajectory) < 2:
         raise EmptyTrajectory(f"{len(trajectory)} recorded state(s)")
-    sizes = (np.max(on_columns(terms, trajectory.states), axis=1)
-             if terms is not None else np.zeros(len(trajectory.monitors)))
-    if not np.isfinite(sizes).all():
-        raise NonFinite("the size of a monitor's terms overflows")
+    sizes = [0.0] * len(trajectory.monitors)
+    if terms is not None:
+        import numpy as np
+        sizes = np.max(on_columns(terms, np.asarray(trajectory.states)),
+                       axis=1).tolist()
+        if not all(map(isfinite, sizes)):
+            raise NonFinite("the size of a monitor's terms overflows")
     drifts = []
     for (name, series), size in zip(trajectory.monitors.items(), sizes):
-        j0 = series[0]
-        max_abs = float(np.max(np.abs(series - j0)))
+        j0 = float(series[0])
+        max_abs = float(_max(abs(v - j0) for v in series))
         drifts.append(MonitorDrift(name, max_abs / max(1.0, abs(j0), size)))
     return DriftReport(drifts=tuple(drifts))
 

@@ -5,8 +5,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import CATALOG
 from .errors import (AngularSingularity, DegenerateN, EmptyDomain, NonFinite,
                      RadiusNonPositive, UnknownFamily)
@@ -99,6 +97,16 @@ class DomainBox:
             raise ValueError("empty coordinate ranges")
 
 
+@dataclass(frozen=True)
+class SampleConfig:
+    count: int = 200
+    box: DomainBox = DomainBox()
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("sample count must be >= 1")
+
+
 def singular_distance(family, n, phi):
     """Distance of u = k_n*phi from the family's nearest angular pole.
 
@@ -145,6 +153,7 @@ def sample_draws(params, box, count):
     coordinate.  Raises EmptyDomain when the guards reject an entire budget
     of ten rounds.
     """
+    import numpy as np
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(box.seed)
@@ -172,22 +181,24 @@ def _pole_distance(u):
     """abs(math.remainder(u, pi)) of each element, by the exact fold of
     fmod (pi - a is exact for a >= pi/2); an infinity raises ValueError, as
     math.remainder does."""
+    import numpy as np
     if np.isinf(u).any():
         raise ValueError("math domain error")
     a = np.abs(np.fmod(u, math.pi))
     return np.where(a > _HALF_PI, math.pi - a, a)
 
 
-@np.errstate(all="ignore")
 def _valid(params, draws, phi_margin):
     """Where `check_point` passes the (r, phi, p_r, p_phi) rows of `draws`,
     by its operations on the columns; it raises as that does."""
-    ok = np.isfinite(draws).all(1) & (draws[:, 0] > 0.0)
-    u = (params.n - 1.0) * draws[ok, 1]
-    far = np.ones(len(u), bool)
-    for kind in CATALOG[params.family].poles:
-        offset = 0.0 if kind == "sin" else _HALF_PI
-        far &= _pole_distance(u - offset) > phi_margin
+    import numpy as np
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(draws).all(1) & (draws[:, 0] > 0.0)
+        u = (params.n - 1.0) * draws[ok, 1]
+        far = np.ones(len(u), bool)
+        for kind in CATALOG[params.family].poles:
+            offset = 0.0 if kind == "sin" else _HALF_PI
+            far &= _pole_distance(u - offset) > phi_margin
     ok[ok] = far
     return ok
 

@@ -34,8 +34,6 @@ import functools
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from .dual import seed, tangent
 from .families import hamiltonian
 from .observables import family_integrals, integral
@@ -47,6 +45,7 @@ _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
 
 def elementwise(fn, *args):
     """fn on floats, or mapped over the elements of float64 columns."""
+    import numpy as np
     if not any(isinstance(a, np.ndarray) for a in args):
         return fn(*args)
     cols = [c.tolist() for c in np.broadcast_arrays(*args)]
@@ -57,6 +56,7 @@ def on_columns(trace, rows, maps=elementwise):
     """A trace compiled with `columns` on the columns of the (N, 4) array
     `rows`.  Where numpy flags an overflow, a 0 divide or a NaN, or sin, cos
     or pow raise or give a non-float, it reruns row by row, raising so."""
+    import numpy as np
     try:
         with np.errstate(all="raise", under="ignore"):
             out = trace(*rows.T, maps)

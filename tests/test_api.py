@@ -1,7 +1,11 @@
-"""The package's public name list, and the call shapes the benchmark's
-traced mode (`perfbench/spans.py`, `perfbench/run.py`) relies on."""
+"""The package's public name list, the call shapes the benchmark's
+traced mode (`perfbench/spans.py`, `perfbench/run.py`) relies on, and
+which commands load numpy in a fresh process."""
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +77,43 @@ def test_cli_keeps_the_attributes_the_benchmark_patches(name, owner):
     # the traced mode replaces these attributes of `pdmham.cli` and
     # requires `cli.main` to call them
     assert getattr(pdmham.cli, name) is getattr(owner, name)
+
+
+def _fresh(code, tmp_path):
+    """Run `code` in a new interpreter on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(pdmham.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_list_and_integrate_leave_numpy_unloaded_and_check_loads_it(
+        tmp_path):
+    out = _fresh("""
+import sys
+import pdmham
+from pdmham.cli import main
+assert main(["list"]) == 0
+assert main(["integrate", "--family", "nc", "--n", "2", "--k0", "-1",
+             "--r0", "1", "--phi0", "0.5", "--pr0", "0", "--pphi0", "1",
+             "--t-end", "1", "--out", "traj.csv"]) == 0
+print("after integrate:", "numpy" in sys.modules)
+assert main(["check", "--family", "nd", "--n", "3", "--samples", "50",
+             "--out", "cert.json"]) == 0
+print("after check:", "numpy" in sys.modules)
+""", tmp_path)
+    assert "after integrate: False" in out
+    assert "after check: True" in out
+
+
+def test_every_public_name_resolves_after_a_bare_import(tmp_path):
+    out = _fresh("""
+import pdmham
+names = pdmham.__all__ + ["certify", "brackets"]
+print([name for name in names if not hasattr(pdmham, name)])
+assert pdmham.certify.certificate is pdmham.certificate
+assert pdmham.brackets.BRACKET_TOL is pdmham.BRACKET_TOL
+""", tmp_path)
+    assert out.strip() == "[]"

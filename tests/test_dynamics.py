@@ -196,8 +196,8 @@ def test_complex_stage_at_non_integer_n_is_rejected():
             == traj.n_rejected)
     assert (traj.n_accepted, traj.n_rejected, traj.n_rejected_invalid,
             traj.n_field_evals) == (186, 10, 2, 2335)
-    assert traj.states.dtype == np.float64
-    assert np.all(np.isfinite(traj.states))
+    assert np.asarray(traj.states).dtype == np.float64
+    assert np.all(np.isfinite(np.asarray(traj.states)))
 
 
 def test_monitor_layout():
@@ -214,7 +214,7 @@ def test_na_central_h_drift():
     traj = integrate(params, PhasePoint(1.0, 0.4, 0.2, 0.8),
                      IntegratorConfig(t_end=50.0, rtol=1e-10))
     assert traj.termination == COMPLETED
-    h = traj.monitors["H"]
+    h = np.asarray(traj.monitors["H"])
     rel = np.max(np.abs(h - h[0])) / abs(h[0])
     assert rel <= 1e-8
 
@@ -352,6 +352,18 @@ def test_drift_report_flags_and_filters():
     assert rep.worst == pytest.approx(0.5)
 
 
+def test_drift_report_worst_keeps_a_nan_drift_that_is_not_first():
+    # inf - inf is NaN: the second monitor's drift is not finite, and the
+    # worst drift must say so rather than report the first monitor's 0.0
+    traj = _manual_trajectory({"H": (1.0, 1.0), "J1": (math.inf, math.inf)},
+                              k=2)
+    rep = drift_report(traj)
+    assert rep.drifts[0].rel_drift == 0.0
+    assert math.isnan(rep.drifts[1].rel_drift)
+    assert math.isnan(rep.worst)
+    assert all(type(d.rel_drift) is float for d in rep.drifts)
+
+
 def test_drift_report_relative_normalization():
     # drift is relative to max(1, |J(0)|)
     traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
@@ -379,8 +391,9 @@ def test_drift_report_terms_on_columns_are_the_per_state_loop(family, n):
     start = sample_points(params, DomainBox(seed=3), 1)[0]
     traj = integrate(params, start, IntegratorConfig(t_end=5.0))
     terms = monitor_terms(params)
-    sizes = np.max([terms(*y) for y in traj.states.tolist()], axis=0)
-    want = [float(np.max(np.abs(series - series[0]))) / max(
+    sizes = np.max([terms(*y) for y in np.asarray(traj.states).tolist()],
+                   axis=0)
+    want = [float(np.max(np.abs(np.asarray(series) - series[0]))) / max(
         1.0, abs(series[0]), size)
         for series, size in zip(traj.monitors.values(), sizes)]
     got = [d.rel_drift for d in drift_report(traj, terms=terms).drifts]
