@@ -25,8 +25,8 @@ same as that loop's.
 import math
 from dataclasses import astuple, dataclass
 from math import isfinite
-from statistics import median
 
+from .catalog import CATALOG
 from .errors import EmptyTrajectory, NonFinite
 from .phase import POLE_MARGIN, PhasePoint, check_point, singular_distance
 from .tracing import monitors, on_columns, vector_field
@@ -156,8 +156,12 @@ class Trajectory:
         """(min, median, max) accepted step size; None with no steps."""
         if len(self.times) < 2:
             return None
-        h = [b - a for a, b in zip(self.times, self.times[1:])]
-        return min(h), median(h), max(h)
+        h = sorted(b - a for a, b in zip(self.times, self.times[1:]))
+        # the median as statistics.median takes it: the middle value, or
+        # the mean of the two middle values
+        i = len(h) // 2
+        median = h[i] if len(h) % 2 else (h[i - 1] + h[i]) / 2
+        return h[0], median, h[-1]
 
     def state(self, i):
         return PhasePoint(*self.states[i])
@@ -171,14 +175,14 @@ def hamilton_vector_field(params, point):
     return vector_field(params)(*point.as_tuple())
 
 
-def _try_field(field, y):
+def _try_field(field, *y):
     # power/overflow failures past a singularity count as an invalid stage,
     # and so does a stage that drives r below 0: a non-integer power of it
-    # is complex, which math rejects with TypeError
+    # is complex, which math rejects with TypeError.  x - x is NaN exactly
+    # when x is +-inf or NaN, so one isfinite tests all four components
     try:
-        k = field(*y)
-        if (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
-                and isfinite(k[3])):
+        k = k0, k1, k2, k3 = field(*y)
+        if isfinite((k0 - k0) + (k1 - k1) + (k2 - k2) + (k3 - k3)):
             return k
     except (ArithmeticError, ValueError, TypeError):
         pass
@@ -190,8 +194,9 @@ def _step_source():
     straight-line float code, k0 being the first stage, f(y).  Each sum
     folds y + (h*c)*k left to right over the nonzero coefficients of its
     row (0.0 + c*k for e5 and e3), with each h*c computed once.  The step
-    returns (y_new, e5, e3), or the index of the first invalid stage, which
-    is also the number of field evaluations it made."""
+    returns the 12 floats y_new, e5 and e3, or the index of the first
+    invalid stage, which is also the number of field evaluations it
+    made."""
     def fold(start, terms, i):
         return " + ".join([start] + [f"{c} * k{j}_{i}" for j, c in terms])
 
@@ -204,19 +209,18 @@ def _step_source():
         if row is B:
             break
         # an invalid stage as in _try_field
+        ks = [f"k{s}_{i}" for i in range(4)]
         lines += ["    try:",
-                  f"        k{s}_0, k{s}_1, k{s}_2, k{s}_3 = field("
-                  + ", ".join(sums) + ")",
-                  "        if not (" + " and ".join(
-                      f"isfinite(k{s}_{i})" for i in range(4)) + "):",
+                  f"        {', '.join(ks)} = field({', '.join(sums)})",
+                  "        if not isfinite("
+                  + " + ".join(f"({k} - {k})" for k in ks) + "):",
                   f"            return {s}",
                   "    except (ArithmeticError, ValueError, TypeError):",
                   f"        return {s}"]
-    errors = [[fold("0.0", [(j, f"({c!r})") for j, c in enumerate(weights)
-                            if c != 0.0], i) for i in range(4)]
-              for weights in (E5, E3)]
-    lines.append("    return " + ", ".join(
-        "(" + ", ".join(terms) + ")" for terms in [sums] + errors))
+    errors = [fold("0.0", [(j, f"({c!r})") for j, c in enumerate(weights)
+                           if c != 0.0], i)
+              for weights in (E5, E3) for i in range(4)]
+    lines.append("    return " + ", ".join(sums + errors))
     return "\n".join(lines)
 
 
@@ -238,8 +242,16 @@ def integrate(params, initial, config=None):
     names, monitor_row = monitors(params)
     rtol = config.rtol * TOL_FACTOR
     atol = config.atol * TOL_FACTOR
+    t_end, h_min, h_max = config.t_end, config.h_min, config.h_max
+    t_last = t_end - 1e-12
+    # the pole guard runs only where there are poles: elsewhere
+    # singular_distance is +inf
+    poles = CATALOG[params.family].poles
+    family, n = params.family, params.n
+    stages = len(A) - 1
 
     y = initial.as_tuple()
+    y0, y1, y2, y3 = y
     t = 0.0
     times = [t]
     states = [y]
@@ -248,32 +260,44 @@ def integrate(params, initial, config=None):
         mon_values = list(monitor_row(*y))
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise NonFinite(f"monitors at the initial state: {exc}") from None
-    k1 = _try_field(field, y)
+    k = _try_field(field, *y)
     n_evals = 1
     termination = COMPLETED
     n_accepted = 0
     n_rejected = 0
     n_invalid = 0
-    h = min(config.h_init, config.t_end)
+    h = min(config.h_init, t_end)
 
-    if k1 is None:
+    if k is None:
         termination = SINGULARITY
-    while termination == COMPLETED and t < config.t_end - 1e-12:
-        h = min(h, config.h_max, config.t_end - t)
-        out = _step(field, *y, h, *k1)
+    else:
+        k0, k1, k2, k3 = k
+    while termination == COMPLETED and t < t_last:
+        h = min(h, h_max, t_end - t)
+        out = _step(field, y0, y1, y2, y3, h, k0, k1, k2, k3)
         if isinstance(out, int):
             n_evals += out
             k = None
         else:
-            n_evals += len(A) - 1
-            y_new, e5, e3 = out
-            sum5 = sum3 = 0.0
-            for i in range(4):
-                scale = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-                q5 = e5[i] / scale
-                q3 = e3[i] / scale
-                sum5 += q5 * q5
-                sum3 += q3 * q3
+            n_evals += stages
+            z0, z1, z2, z3, e0, e1, e2, e3, d0, d1, d2, d3 = out
+            # each component scaled by atol + rtol * max(|y|, |y_new|),
+            # `b if b > a else a` being max(a, b), NaN included; the sums
+            # of squares need no 0.0 to start from, as 0.0 + x*x is x*x
+            a, b = abs(y0), abs(z0)
+            scale = atol + rtol * (b if b > a else a)
+            p0, q0 = e0 / scale, d0 / scale
+            a, b = abs(y1), abs(z1)
+            scale = atol + rtol * (b if b > a else a)
+            p1, q1 = e1 / scale, d1 / scale
+            a, b = abs(y2), abs(z2)
+            scale = atol + rtol * (b if b > a else a)
+            p2, q2 = e2 / scale, d2 / scale
+            a, b = abs(y3), abs(z3)
+            scale = atol + rtol * (b if b > a else a)
+            p3, q3 = e3 / scale, d3 / scale
+            sum5 = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
+            sum3 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
             # the fifth-order estimate, damped where the third-order one is
             # much larger (Hairer, Norsett & Wanner's err); an overflowing
             # estimate reads NaN and is rejected
@@ -282,39 +306,38 @@ def integrate(params, initial, config=None):
             if not err <= 1.0:
                 n_rejected += 1
                 h_next = h * max(0.2, 0.9 * err ** -0.125)
-                if h_next < config.h_min:
+                if h_next < h_min:
                     termination = STEP_FAILURE
                     break
                 h = h_next
                 continue
             # the new state's field is the next step's first stage
-            k = _try_field(field, y_new)
+            k = _try_field(field, z0, z1, z2, z3)
             n_evals += 1
         # a stage, or the new state's field, was not finite
         if k is None:
             n_rejected += 1
             n_invalid += 1
             h *= 0.25
-            if h < config.h_min:
+            if h < h_min:
                 termination = SINGULARITY
             continue
 
-        if (not R_GUARD_MIN <= y_new[0] <= R_GUARD_MAX
-                or singular_distance(params.family, params.n,
-                                     y_new[1]) <= POLE_MARGIN):
+        if (not R_GUARD_MIN <= z0 <= R_GUARD_MAX
+                or poles and singular_distance(family, n, z1) <= POLE_MARGIN):
             termination = SINGULARITY
             break
         t += h
-        y = y_new
-        k1 = k
+        y0, y1, y2, y3 = z0, z1, z2, z3
+        k0, k1, k2, k3 = k
         n_accepted += 1
         times.append(t)
-        states.append(y)
-        mon_values.extend(monitor_row(*y))
+        states.append((z0, z1, z2, z3))
+        mon_values.extend(monitor_row(z0, z1, z2, z3))
         h *= 10.0 if err == 0.0 else min(10.0, max(0.2, 0.9 * err ** -0.125))
         # accepted steps can shrink without bound too (an orbit grazing a
         # pole); the last step, shortened to land on t_end, is exempt
-        if h < config.h_min and t < config.t_end - 1e-12:
+        if h < h_min and t < t_last:
             termination = STEP_FAILURE
             break
 

@@ -7,12 +7,16 @@ that floats and duals run through and appends one line of Python per float
 operation.  Seeded inside `Dual`s it records the forward-mode gradient, so
 no derivative is written by hand (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008).  The emitted code performs the same
-float operations in the same order as the dual and float paths, with three
-exceptions.  Operations with a constant 0.0 or 1.0 (x*0, x+0, 0-x, x*1)
-are folded, which can flip the sign of a zero.  Lines no output needs are
-dropped, so a term multiplied by a constant zero can no longer turn the
-result into a NaN or a complex number, or raise.  Repeated subexpressions
-are computed once.
+float operations in the same order as the dual and float paths, with
+these exceptions.  Operations with a constant 0.0 or 1.0 (x*0, x+0, 0-x,
+x*1) are folded, which can flip the sign of a zero.  Lines no output needs
+are dropped, so a term multiplied by a constant zero can no longer turn
+the result into a NaN or a complex number, or raise.  Repeated
+subexpressions are computed once.  Rewrites that give the same float on
+every input remove more lines: x**0.0 is 1.0, x**1.0 is x, and a + b and
+a * b are keyed in one operand order, so b + a and b * a reuse their
+line.  The source text of a trace thus changes with the rewrites; its
+values do not.
 
 A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of a function the
 catalog holds, or of a corrupted integral, feeds the sampled certificate
@@ -102,13 +106,17 @@ class Sym:
         return known
 
     def _bin(self, a, op, b):
-        return self._emit(f"{_atom(a)} {op} {_atom(b)}", a, b)
+        left, right = _atom(a), _atom(b)
+        # a + b and a * b round as b + a and b * a: one operand order per
+        # key, so repeats merge whichever way round they come
+        if op in ("+", "*") and right < left:
+            left, right = right, left
+        return self._emit(f"{left} {op} {right}", a, b)
 
     def __add__(self, other):
         return self if _zero(other) else self._bin(self, "+", other)
 
-    def __radd__(self, other):
-        return self if _zero(other) else self._bin(other, "+", self)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self if _zero(other) else self._bin(self, "-", other)
@@ -121,10 +129,7 @@ class Sym:
             return 0.0
         return self if _one(other) else self._bin(self, "*", other)
 
-    def __rmul__(self, other):
-        if _zero(other):
-            return 0.0
-        return self if _one(other) else self._bin(other, "*", self)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._bin(self, "/", other)
@@ -133,6 +138,14 @@ class Sym:
         return self._bin(other, "/", self)
 
     def __pow__(self, other):
+        # float ** returns 1.0 for a zero exponent before any other case,
+        # NaN and inf included
+        if _zero(other):
+            return 1.0
+        # and x for a unit exponent: NaN, inf and 0 by case, the rest
+        # through libm's pow, which returns an exact result unchanged
+        if _one(other):
+            return self
         return self._bin(self, "**", other)
 
     def __neg__(self):

@@ -100,11 +100,13 @@ assert main(["integrate", "--family", "nc", "--n", "2", "--k0", "-1",
              "--r0", "1", "--phi0", "0.5", "--pr0", "0", "--pphi0", "1",
              "--t-end", "1", "--out", "traj.csv"]) == 0
 print("after integrate:", "numpy" in sys.modules)
+print("statistics after integrate:", "statistics" in sys.modules)
 assert main(["check", "--family", "nd", "--n", "3", "--samples", "50",
              "--out", "cert.json"]) == 0
 print("after check:", "numpy" in sys.modules)
 """, tmp_path)
     assert "after integrate: False" in out
+    assert "statistics after integrate: False" in out
     assert "after check: True" in out
 
 

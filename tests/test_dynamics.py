@@ -1,6 +1,8 @@
 """Integrator behavior: exact flows, guards, drift, reversibility."""
 
 import math
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ import pytest
 from pdmham.brackets import gradient_fd
 from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, A, B, E3,
                              E5, DriftReport, IntegratorConfig, Trajectory,
-                             _step, drift_report, final_state_distance,
-                             fixed_step_config, hamilton_vector_field,
-                             integrate, time_reversal_defect)
+                             _step, _try_field, drift_report,
+                             final_state_distance, fixed_step_config,
+                             hamilton_vector_field, integrate,
+                             time_reversal_defect)
 from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 from pdmham.tracing import monitor_terms
@@ -115,7 +118,14 @@ def test_generated_step_matches_the_tableau_loop_bit_for_bit():
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize("bad", ["raise", "nan"])
+# a stage that raises, or has a NaN, an infinity or a complex component
+# (a negative base to a fractional power, as past r = 0 at non-integer n)
+_BAD_STAGES = {"raise": None, "nan": (0.0, math.nan, 0.0, 0.0),
+               "inf": (0.0, 0.0, 0.0, -math.inf),
+               "complex": (0.0, (-1.0) ** 0.5, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_STAGES))
 @pytest.mark.parametrize("stage", range(1, len(A)))
 def test_generated_step_reports_the_invalid_stage(stage, bad):
     # the step stops at the first invalid stage and returns its index,
@@ -127,7 +137,7 @@ def test_generated_step_reports_the_invalid_stage(stage, bad):
         if len(calls) == stage:
             if bad == "raise":
                 raise ZeroDivisionError
-            return (0.0, math.nan, 0.0, 0.0)
+            return _BAD_STAGES[bad]
         return _toy_field(*y)
 
     y = (1.0, 0.4, 0.2, 0.8)
@@ -135,6 +145,18 @@ def test_generated_step_reports_the_invalid_stage(stage, bad):
     assert len(calls) == stage
     calls.clear()
     assert _reference_step(field, y, 0.1, _toy_field(*y)) == stage
+
+
+@pytest.mark.parametrize("bad", list(_BAD_STAGES))
+def test_try_field_rejects_what_the_step_rejects(bad):
+    def field(*y):
+        if bad == "raise":
+            raise ZeroDivisionError
+        return _BAD_STAGES[bad]
+
+    assert _try_field(field, 1.0, 0.4, 0.2, 0.8) is None
+    assert _try_field(_toy_field, 1.0, 0.4, 0.2, 0.8) == _toy_field(
+        1.0, 0.4, 0.2, 0.8)
 
 
 def test_field_free_radial_motion():
@@ -398,6 +420,20 @@ def test_drift_report_terms_on_columns_are_the_per_state_loop(family, n):
         for series, size in zip(traj.monitors.values(), sizes)]
     got = [d.rel_drift for d in drift_report(traj, terms=terms).drifts]
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 7, 10, 101, 200])
+def test_step_sizes_median_is_the_statistics_median(count):
+    # odd and even numbers of steps, with repeated sizes among them
+    rng = np.random.default_rng(count)
+    steps = rng.choice([1e-3, 0.1, 0.25, 1.0 / 3.0], count - 1).tolist()
+    times = [0.0]
+    for h in steps:
+        times.append(times[-1] + h)
+    traj = replace(_manual_trajectory({"H": np.ones(count)}, k=count),
+                   times=tuple(times))
+    h = [b - a for a, b in zip(times, times[1:])]
+    assert traj.step_sizes() == (min(h), statistics.median(h), max(h))
 
 
 def test_drift_report_empty_trajectory():

@@ -1,12 +1,17 @@
 """The traced field, monitor row, monitor term sizes and gradient rows
 against their dual and float oracles."""
 
+import math
+import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdmham import tracing
 from pdmham.brackets import (gradient, poisson_bracket, row_bracket,
                              scaled_residual)
 from pdmham.catalog import CATALOG
@@ -15,8 +20,8 @@ from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
 from pdmham.phase import DomainBox, ModelParams, sample_points
-from pdmham.tracing import (compile_traced, gradient_row, monitor_terms,
-                            monitors, vector_field)
+from pdmham.tracing import (compile_traced, gradient_row, identity_pairs,
+                            monitor_terms, monitors, value_row, vector_field)
 
 CASES = [(family, n) for family in CATALOG
          for n in (-1.0, 0.0, 0.5, 2.0, 3.0)]
@@ -176,3 +181,96 @@ def test_row_brackets_equal_dual_brackets(family, n):
             residuals = _residuals(params, fn_a, cols, fn_b)
             for pt, residual in zip(points, residuals.tolist()):
                 assert residual == scaled_residual(fn_a, fn_b, params, pt)
+
+
+# the float classes the rewrites must keep: signed zeros, infinities, NaN,
+# subnormals and the extremes, drawn explicitly, then any float at all
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+           2.2250738585072009e-308, -1.5e-310, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=True, allow_infinity=True,
+                             allow_subnormal=True))
+
+
+def _same(a, b):
+    """Bit for bit, except that any NaN equals any NaN."""
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _rewritten(r, phi, p_r, p_phi):
+    return (r ** 0.0, r ** 1.0, p_r ** 0.0, r * phi, phi * r, r + phi,
+            phi + r, 2.5 * r, r * 2.5, p_r + 3.0, 3.0 + p_r)
+
+
+def _sources(build):
+    """The source text of every trace that build() compiles."""
+    sources = []
+
+    def spy(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracing, "compile", spy, raising=False)
+        build()
+    return sources
+
+
+_REWRITTEN = compile_traced(_rewritten, "rewrites")
+
+
+@settings(max_examples=500, deadline=None)
+@given(r=FLOATS, phi=FLOATS, p_r=FLOATS)
+def test_trace_rewrites_are_exact_on_every_float(r, phi, p_r):
+    # x ** 0.0 -> 1.0, x ** 1.0 -> x and one operand order for + and *
+    # give the floats plain Python gives
+    got = _REWRITTEN(r, phi, p_r, 0.0)
+    want = _rewritten(r, phi, p_r, 0.0)
+    assert all(map(_same, got, want)), (got, want)
+
+
+def test_powers_of_zero_and_one_and_commuted_repeats_leave_no_line():
+    source, = _sources(lambda: compile_traced(_rewritten, "rewrites"))
+    body = source.splitlines()[1:-1]
+    assert sorted(line.split(" = ")[1] for line in body) == [
+        "2.5 * r", "3.0 + p_r", "phi * r", "phi + r"]
+    assert source.splitlines()[-1].startswith("    return (1.0, r, 1.0, ")
+
+
+_OPERATION = re.compile(r"^ {4}v\d+ = (\S+) ([+*]) (\S+)$")
+_ZERO_OR_UNIT_POWER = re.compile(
+    r"\*\* (\(-0\.0\)|0\.0|1\.0)$|maps\(pow, \S+, (\(-0\.0\)|0\.0|1\.0)\)$")
+
+
+def _family_traces(params):
+    """Every trace `integrate` and `pdm check` compile at params."""
+    fam = CATALOG[params.family]
+    vector_field.__wrapped__(params)
+    monitors.__wrapped__(params)
+    monitor_terms.__wrapped__(params)
+    for row_params, fn, _ in _row_functions(params):
+        gradient_row.__wrapped__(row_params, fn)
+    for _, fn in fam.identities:
+        identity_pairs.__wrapped__(params, fn)
+    for fn in ([rhs for *_, rhs in fam.algebra]
+               + [rate for *_, rate in fam.laws]):
+        value_row.__wrapped__(params, fn)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_no_trace_has_a_zero_or_unit_power_or_a_commuted_repeat(family, n):
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    sources = _sources(lambda: _family_traces(params))
+    assert len(sources) > 3
+    for source in sources:
+        seen = set()
+        for line in source.splitlines()[1:-1]:
+            assert not _ZERO_OR_UNIT_POWER.search(line), line
+            if match := _OPERATION.match(line):
+                left, op, right = match.groups()
+                key = (op,) + tuple(sorted((left, right)))
+                assert key not in seen, line
+                seen.add(key)
