@@ -1,4 +1,4 @@
-"""Phase-space gradients and canonical Poisson brackets.
+"""Canonical Poisson brackets of phase-space functions.
 
 Certificates bracket gradient rows (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi)
 traced once per function by `tracing.gradient_row`, as float64 columns over
@@ -6,46 +6,22 @@ all sample points, combined by `row_bracket` and scaled by `bracket_scale`;
 both take floats or columns alike.  The dual path below (one forward
 dual-number pass per gradient, exact to roundoff) is their oracle: the row
 functions repeat its float operations in its order, so the two agree bit
-for bit.  Central finite differences with per-coordinate steps
-are the independent oracle of the cross-validation suite.
+for bit.  The central-difference oracle of the cross-validation suite lives
+with the tests, in `tests/oracles.py`.
 """
-
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dual import seed, tangent, value
 
-EPS = sys.float_info.epsilon
-FD_STEP_FACTOR = EPS ** (1.0 / 3.0)
 BRACKET_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PhaseGradient:
-    dF_dr: float
-    dF_dphi: float
-    dF_dpr: float
-    dF_dpphi: float
-
-    def as_tuple(self):
-        return (self.dF_dr, self.dF_dphi, self.dF_dpr, self.dF_dpphi)
-
-
-def gradient(F, params, point):
-    """Exact partials of F at a phase point, one dual pass."""
-    r, phi, p_r, p_phi = seed(*point.as_tuple())
-    out = F(params, r, phi, p_r, p_phi)
-    t = tangent(out)
-    return PhaseGradient(*t)
 
 
 def bracket_value(F, G, params, r, phi, p_r, p_phi):
     """{F, G} over generic scalar coordinates.
 
     Seeding on top of incoming duals nests cleanly, so brackets of brackets
-    (Jacobi tests, evolution laws for products) need no extra machinery.
+    (the Jacobi test) need no extra machinery.
     """
     rs, ps, prs, pps = seed(r, phi, p_r, p_phi)
     ft = tangent(F(params, rs, ps, prs, pps))
@@ -56,27 +32,6 @@ def bracket_value(F, G, params, r, phi, p_r, p_phi):
 
 def poisson_bracket(F, G, params, point):
     return bracket_value(F, G, params, *point.as_tuple())
-
-
-def gradient_fd(F, params, point):
-    """Central-difference gradient; the independent oracle for `gradient`."""
-    coords = list(point.as_tuple())
-    parts = []
-    for i, c in enumerate(coords):
-        step = max(1.0, abs(c)) * FD_STEP_FACTOR
-        hi = list(coords)
-        lo = list(coords)
-        hi[i] += step
-        lo[i] -= step
-        parts.append((F(params, *hi) - F(params, *lo)) / (2.0 * step))
-    return PhaseGradient(*parts)
-
-
-def poisson_bracket_fd(F, G, params, point):
-    gf = gradient_fd(F, params, point)
-    gg = gradient_fd(G, params, point)
-    return ((gf.dF_dr * gg.dF_dpr - gf.dF_dpr * gg.dF_dr)
-            + (gf.dF_dphi * gg.dF_dpphi - gf.dF_dpphi * gg.dF_dphi))
 
 
 def bracket_scale(f_val, g_val, point):

@@ -51,20 +51,13 @@ CONTROL_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class CheckResult:
+    # Python floats and bools, never numpy scalars, which would break
+    # `is True` tests and json.dumps alike
     name: str
     max_residual: object     # float, or None when skipped
-    tolerance: object
+    tolerance: float
     passed: object           # bool, or None when skipped
     note: str = ""
-
-    def __post_init__(self):
-        # numpy scalars (bool_, float64) must not leak out of the checks:
-        # they break `is True` identity tests and json.dumps alike
-        if self.max_residual is not None:
-            object.__setattr__(self, "max_residual", float(self.max_residual))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        if self.passed is not None:
-            object.__setattr__(self, "passed", bool(self.passed))
 
     def as_dict(self):
         # strict JSON has no NaN or Infinity: a non-finite residual is null

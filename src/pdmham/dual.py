@@ -3,7 +3,7 @@
 The slots track partials with respect to (r, phi, p_r, p_phi), one forward
 pass per gradient.  Tangent entries use the same arithmetic as the value, so
 a Dual whose value is itself a Dual carries exact second derivatives; the
-curvature check relies on that.  Besides arithmetic and real powers, `sin`
+Jacobi test, which brackets a bracket, relies on that.  Besides arithmetic and real powers, `sin`
 and `cos` are the only functions: the formulas take no other.
 """
 
@@ -128,11 +128,3 @@ def cos(x):
             raise
     return x.cos()
 
-
-def second_derivative(f, x0):
-    """d^2 f / dx^2 at x0 for a single-variable f, via nested duals."""
-    inner = Dual(x0, _UNITS[0])
-    outer = Dual(inner, (Dual(1.0), 0.0, 0.0, 0.0))
-    out = f(outer)
-    first = tangent(out)[0]
-    return tangent(first)[0]

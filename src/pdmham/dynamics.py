@@ -125,12 +125,6 @@ class IntegratorConfig:
             raise ValueError("tolerances and horizon must be positive")
 
 
-def fixed_step_config(h, t_end):
-    """Config that forces step size h (order studies); tolerances disabled."""
-    return IntegratorConfig(t_end=t_end, h_init=h, h_min=h, h_max=h,
-                            rtol=1e9, atol=1e9)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     params: object
@@ -398,28 +392,3 @@ def drift_report(trajectory, terms=None):
         drifts.append(MonitorDrift(name, max_abs / max(1.0, abs(j0), size)))
     return DriftReport(drifts=tuple(drifts))
 
-
-def time_reversal_defect(params, initial, config=None):
-    """Max coordinate defect of the forward/backward round trip.
-
-    Returns None when either leg stops before its horizon (the round trip
-    is then undefined).
-    """
-    forward = integrate(params, initial, config)
-    if forward.termination != COMPLETED:
-        return None
-    turn = forward.final()
-    back = integrate(
-        params,
-        PhasePoint(turn.r, turn.phi, -turn.p_r, -turn.p_phi),
-        config,
-    )
-    if back.termination != COMPLETED:
-        return None
-    end = back.final()
-    return max(abs(end.r - initial.r), abs(end.phi - initial.phi),
-               abs(end.p_r + initial.p_r), abs(end.p_phi + initial.p_phi))
-
-
-def final_state_distance(a, b):
-    return max(abs(x - y) for x, y in zip(a.as_tuple(), b.as_tuple()))

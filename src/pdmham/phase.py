@@ -9,8 +9,6 @@ from .catalog import CATALOG
 from .errors import (AngularSingularity, DegenerateN, EmptyDomain, NonFinite,
                      RadiusNonPositive, UnknownFamily)
 
-FAMILIES = tuple(CATALOG)
-
 _HALF_PI = 0.5 * math.pi
 
 # closest approach of u = k_n*phi to an angular pole that a state may make
@@ -28,14 +26,6 @@ class PhasePoint:
 
     def as_tuple(self):
         return (self.r, self.phi, self.p_r, self.p_phi)
-
-
-@dataclass(frozen=True)
-class CartesianPoint:
-    x: float
-    y: float
-    p_x: float
-    p_y: float
 
 
 @dataclass(frozen=True)
@@ -202,16 +192,3 @@ def _valid(params, draws, phi_margin):
     ok[ok] = far
     return ok
 
-
-def polar_to_cartesian(point):
-    """Canonical point transformation to (x, y, p_x, p_y)."""
-    if point.r <= 0.0:
-        raise RadiusNonPositive(f"r = {point.r}")
-    c, s = math.cos(point.phi), math.sin(point.phi)
-    pt = point.p_phi / point.r
-    return CartesianPoint(
-        x=point.r * c,
-        y=point.r * s,
-        p_x=point.p_r * c - pt * s,
-        p_y=point.p_r * s + pt * c,
-    )

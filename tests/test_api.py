@@ -2,10 +2,12 @@
 traced mode (`perfbench/spans.py`, `perfbench/run.py`) relies on, and
 which commands load numpy in a fresh process."""
 
+import ast
 import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,66 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_unique():
     assert len(set(pdmham.__all__)) == len(pdmham.__all__)
+
+
+PACKAGE = Path(pdmham.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _program_reads():
+    """The (module, name) pairs that the program reads, and the modules
+    that bind each top-level name.
+
+    A read is a relative import in a `src/pdmham` module other than
+    `__init__`; a `pdm.<module>.<name>` attribute read in `perfbench`; or
+    a load of a module's own top-level name in code that runs, at import
+    or in the definition of a name that is itself read.
+    """
+    reads, loads, owners = set(), {}, {}
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        module, tree = path.stem, ast.parse(path.read_text())
+        imported = {(node.module, a.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for a in node.names}
+        reads |= imported
+        own = {name for _, name in imported}
+        own.update(node.name for node in tree.body if hasattr(node, "name"))
+        own.update(t.id for node in tree.body if isinstance(node, ast.Assign)
+                   for t in node.targets if isinstance(t, ast.Name))
+        for name in own:
+            owners.setdefault(name, set()).add(module)
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            loaded = {(module, n.id) for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and n.id in own
+                      and isinstance(n.ctx, ast.Load) and n.id != owner}
+            if owner is None:
+                reads |= loaded
+            else:
+                loads[(module, owner)] = loaded
+    for path in PERFBENCH.glob("*.py"):
+        reads.update((node.value.attr, node.attr)
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Attribute)
+                     and isinstance(node.value.value, ast.Name)
+                     and node.value.value.id == "pdm")
+    todo = list(reads)
+    while todo:
+        for each in loads.get(todo.pop(), set()) - reads:
+            reads.add(each)
+            todo.append(each)
+    return reads, owners
+
+
+def test_every_public_name_has_a_reader():
+    reads, owners = _program_reads()
+    unread = [name for name in pdmham.__all__
+              if not any((module, name) in reads
+                         for module in owners.get(name, ()))]
+    assert not unread
 
 
 _ = object()

@@ -47,6 +47,17 @@ def test_certificates_pass(family):
     assert cert.verdict == "pass", failed
 
 
+@pytest.mark.parametrize("family", sorted(CATALOG))
+def test_checks_hold_plain_python_scalars(family):
+    # CheckResult stores what its producers hand it: a numpy scalar here
+    # would break `is True` tests and json.dumps
+    cert = certificate(ModelParams(family, 2.0, *COUPLINGS), _sample(60))
+    for c in cert.checks:
+        assert type(c.max_residual) in (float, type(None)), c.name
+        assert type(c.passed) in (bool, type(None)), c.name
+        assert type(c.tolerance) is float, c.name
+
+
 def test_geodesic_killing_check_skipped():
     cert = certificate(ModelParams("geodesic", 2.0, 0.0, 0.0, 0.0),
                        _sample())

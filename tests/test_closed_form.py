@@ -167,6 +167,25 @@ def _kepler_gap(n):
     return max(gaps)
 
 
+@pytest.mark.parametrize("n", (-1.0, 0.0, 0.5, 2.0, 3.0))
+def test_flat_chart_identities(n):
+    # the chart is canonical at every n: p_x^2 + p_y^2 is 2T of the polar
+    # state, x p_y - y p_x is p_phi / k, and _to_polar inverts the chart
+    k = n - 1.0
+    for start in OSC_STARTS + LINE_STARTS:
+        point = _to_polar(n, *start)
+        x, y, p_x, p_y = _to_cartesian(n, point)
+        two_t = point.r ** (2.0 * n) * (point.p_r ** 2
+                                        + (point.p_phi / point.r) ** 2)
+        assert p_x * p_x + p_y * p_y == pytest.approx(two_t, rel=1e-13)
+        assert x * p_y - y * p_x == pytest.approx(point.p_phi / k, rel=1e-13)
+        rho, theta, p_rho, p_theta = start
+        c, s = math.cos(theta), math.sin(theta)
+        want = (rho * c, rho * s, p_rho * c - p_theta / rho * s,
+                p_rho * s + p_theta / rho * c)
+        assert (x, y, p_x, p_y) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 def test_flows_are_exact_on_their_own():
     # each flow returns to its start after one period and keeps its
     # invariants mid-orbit, so a wrong flow cannot pass as the judge

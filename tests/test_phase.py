@@ -1,4 +1,4 @@
-"""Parameter validation, guarded sampling, and coordinate maps."""
+"""Parameter validation and guarded sampling."""
 
 import math
 
@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdmham.catalog import CATALOG
 from pdmham.errors import (AngularSingularity, DegenerateN, EmptyDomain,
                            NonFinite, RadiusNonPositive, UnknownFamily)
-from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                          _pole_distance, check_point, polar_to_cartesian,
-                          sample_points, singular_distance)
+from pdmham.phase import (DomainBox, ModelParams, PhasePoint, _pole_distance,
+                          check_point, sample_points, singular_distance)
 
 
 def test_families_tuple():
-    assert len(FAMILIES) == 9
-    assert "geodesic" in FAMILIES and "nd" in FAMILIES
+    assert len(CATALOG) == 9
+    assert "geodesic" in CATALOG and "nd" in CATALOG
 
 
 def test_model_params_k_n():
@@ -157,7 +157,7 @@ def _sampled(params, box, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(family=st.sampled_from(FAMILIES),
+@given(family=st.sampled_from(tuple(CATALOG)),
        n=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]),
                    st.floats(-50.0, 50.0)),
        # the poles of a family with both kinds lie pi/2 apart in k_n*phi
@@ -208,29 +208,6 @@ def test_pole_distance_is_the_remainder_of_pi():
         with pytest.raises(ValueError) as libm:
             math.remainder(bad, math.pi)
         assert str(ours.value) == str(libm.value)
-
-
-def test_polar_to_cartesian_position():
-    pt = PhasePoint(2.0, math.pi / 3.0, 0.0, 0.0)
-    c = polar_to_cartesian(pt)
-    assert c.x == pytest.approx(1.0)
-    assert c.y == pytest.approx(math.sqrt(3.0))
-
-
-def test_polar_to_cartesian_momentum_identities():
-    # canonical pushforward: p_x^2 + p_y^2 = p_r^2 + p_phi^2/r^2 and
-    # x p_y - y p_x = p_phi
-    pt = PhasePoint(1.7, 0.9, 0.4, -1.1)
-    c = polar_to_cartesian(pt)
-    lhs = c.p_x ** 2 + c.p_y ** 2
-    rhs = pt.p_r ** 2 + (pt.p_phi / pt.r) ** 2
-    assert lhs == pytest.approx(rhs, rel=1e-14)
-    assert c.x * c.p_y - c.y * c.p_x == pytest.approx(pt.p_phi, rel=1e-14)
-
-
-def test_polar_to_cartesian_rejects_bad_radius():
-    with pytest.raises(RadiusNonPositive):
-        polar_to_cartesian(PhasePoint(-2.0, 0.0, 0.0, 0.0))
 
 
 def test_phase_point_tuple_round_trip():

@@ -18,13 +18,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pdmham.cli
+from pdmham.catalog import CATALOG
 from pdmham.certify import SampleConfig, certificate
 from pdmham.cli import main
 from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE,
                              IntegratorConfig, integrate)
 from pdmham.errors import PdmError
-from pdmham.phase import (FAMILIES, DomainBox, ModelParams, PhasePoint,
-                          check_point, sample_points)
+from pdmham.phase import (DomainBox, ModelParams, PhasePoint, check_point,
+                          sample_points)
 from pdmham.tracing import monitors
 
 EXPONENTS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
@@ -35,7 +36,7 @@ STATES = st.tuples(st.floats(-0.5, 4.0), st.floats(-7.0, 7.0),
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=st.sampled_from(FAMILIES), n=EXPONENTS,
+@given(family=st.sampled_from(tuple(CATALOG)), n=EXPONENTS,
        couplings=st.tuples(COUPLINGS, COUPLINGS, COUPLINGS), state=STATES,
        t_end=st.floats(0.01, 1.0))
 def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
@@ -61,7 +62,7 @@ def _require_finite_monitors(params, sample):
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=st.sampled_from(FAMILIES),
+@given(family=st.sampled_from(tuple(CATALOG)),
        n=st.sampled_from([-1.0, 0.0, 0.5, 2.0, 3.0]),
        couplings=st.tuples(*3 * [st.one_of(
            st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 1e160]))]),
