@@ -1,4 +1,4 @@
-"""Parameter validation and guarded sampling."""
+"""Parameter validation, guarded sampling, and the n = 0 coordinate chart."""
 
 import math
 
@@ -12,6 +12,7 @@ from pdmham.errors import (AngularSingularity, DegenerateN, EmptyDomain,
                            NonFinite, RadiusNonPositive, UnknownFamily)
 from pdmham.phase import (DomainBox, ModelParams, PhasePoint, _pole_distance,
                           check_point, sample_points, singular_distance)
+from test_closed_form import _to_cartesian
 
 
 def test_families_tuple():
@@ -208,6 +209,26 @@ def test_pole_distance_is_the_remainder_of_pi():
         with pytest.raises(ValueError) as libm:
             math.remainder(bad, math.pi)
         assert str(ours.value) == str(libm.value)
+
+
+# At n = 0 (k = -1) the flat chart of the closed-form tests is the polar to
+# Cartesian map with theta = -phi: rho = r, p_rho = p_r, p_theta = -p_phi.
+
+def test_polar_to_cartesian_position():
+    x, y, _, _ = _to_cartesian(0.0, PhasePoint(2.0, math.pi / 3.0, 0.0, 0.0))
+    assert x == pytest.approx(1.0)
+    assert y == pytest.approx(-math.sqrt(3.0))
+
+
+def test_polar_to_cartesian_momentum_identities():
+    # canonical pushforward: p_x^2 + p_y^2 = p_r^2 + p_phi^2/r^2 and
+    # x p_y - y p_x = p_theta = -p_phi
+    pt = PhasePoint(1.7, 0.9, 0.4, -1.1)
+    x, y, p_x, p_y = _to_cartesian(0.0, pt)
+    lhs = p_x ** 2 + p_y ** 2
+    rhs = pt.p_r ** 2 + (pt.p_phi / pt.r) ** 2
+    assert lhs == pytest.approx(rhs, rel=1e-14)
+    assert x * p_y - y * p_x == pytest.approx(-pt.p_phi, rel=1e-14)
 
 
 def test_phase_point_tuple_round_trip():
