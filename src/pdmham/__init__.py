@@ -11,9 +11,9 @@ of the tests live with them, in `tests/oracles.py`."""
 import importlib
 
 from .dual import Dual
-from .dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, DriftReport,
-                       IntegratorConfig, Trajectory, drift_report,
-                       hamilton_vector_field, integrate)
+from .dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, IntegratorConfig,
+                       Trajectory, drift_report, hamilton_vector_field,
+                       integrate)
 from .errors import PdmError
 from .catalog import CATALOG
 from .families import (euclidean_potential, flat_twin, hamiltonian, kinetic,
@@ -44,9 +44,9 @@ def __getattr__(name):
 
 __all__ = [
     "BRACKET_TOL", "CATALOG", "COMPLETED", "Certificate", "CheckResult",
-    "DomainBox", "DriftReport", "Dual", "IntegratorConfig", "ModelParams",
-    "PdmError", "PhasePoint", "SINGULARITY", "STEP_FAILURE", "SampleConfig",
-    "Trajectory", "bracket_residual_suite", "certificate", "drift_report",
+    "DomainBox", "Dual", "IntegratorConfig", "ModelParams", "PdmError",
+    "PhasePoint", "SINGULARITY", "STEP_FAILURE", "SampleConfig", "Trajectory",
+    "bracket_residual_suite", "certificate", "drift_report",
     "euclidean_potential", "family_integrals", "flat_twin",
     "hamilton_vector_field", "hamiltonian", "integral", "integrate",
     "involution_check", "killing_tensor_check", "kinetic", "noether_p1",

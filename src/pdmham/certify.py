@@ -29,7 +29,8 @@ import numpy as np
 
 from .brackets import BRACKET_TOL, bracket_scale, row_bracket
 from .catalog import lookup
-from .dynamics import DRIFT_TOL, IntegratorConfig, drift_report, integrate
+from .dynamics import (DRIFT_TOL, IntegratorConfig, drift_report, integrate,
+                       worst_drift)
 from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
                      NoQuadraticIntegral, UnknownIntegral)
 from .formulas import kinetic_noether
@@ -80,12 +81,6 @@ class Certificate:
     params: object
     checks: tuple
     verdict: str
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def as_dict(self):
         return {
@@ -482,9 +477,10 @@ def _checks(params, sample, config, points, corrupt):
 
     try:
         trajectory = integrate(params, points[0], config)
-        rep = drift_report(trajectory, terms=monitor_terms(params))
+        worst = worst_drift(drift_report(
+            trajectory, terms=monitor_terms(params)).values())
         yield CheckResult(
-            "drift", rep.worst, DRIFT_TOL, rep.worst <= DRIFT_TOL,
+            "drift", worst, DRIFT_TOL, worst <= DRIFT_TOL,
             note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}")
     except EmptyTrajectory as exc:
         yield CheckResult("drift", None, DRIFT_TOL, None,

@@ -7,11 +7,12 @@ max(1, sum |U_i|, sum |V_i|) over the potentials' single-coupling terms,
 against IDENTITY_TOL, exit 2 where a gap is not finite).
 
 Exit-code contract, fixed for CI use: 0 pass, 1 verdict fail, 2 usage or
-invalid parameters, 3 integration aborted early (partial CSV still
-written).  `build_parser` declares each flag once, with its default.
-Every flag can instead come from a flat JSON config file (`--config`),
-whose values are checked exactly as typed flags, `choices` included;
-explicit flags override file values.  The sampling seed defaults to 0.
+invalid parameters (a sample too large to allocate among them), 3
+integration aborted early (partial CSV still written).  `build_parser`
+declares each flag once, with its default.  Every flag can instead come
+from a flat JSON config file (`--config`), whose values are checked
+exactly as typed flags, `choices` included; explicit flags override file
+values.  The sampling seed defaults to 0.
 """
 
 import argparse
@@ -21,7 +22,8 @@ import re
 import sys
 
 from .catalog import CATALOG
-from .dynamics import COMPLETED, IntegratorConfig, drift_report, integrate
+from .dynamics import (COMPLETED, IntegratorConfig, drift_report, integrate,
+                       worst_drift)
 from .errors import EmptyTrajectory, PdmError
 from .families import flat_twin, twin_box
 from .phase import (DomainBox, ModelParams, PhasePoint, SampleConfig,
@@ -84,7 +86,7 @@ def cmd_check(args, parser):
         sample = SampleConfig(count=args.samples,
                               box=DomainBox(seed=args.seed))
         cert = __getattr__("certificate")(params, sample, corrupt=args.corrupt)
-    except (PdmError, ValueError) as exc:
+    except (PdmError, ValueError, MemoryError) as exc:
         parser.error(str(exc))
     payload = cert.to_json()
     if args.out:
@@ -124,9 +126,9 @@ def cmd_integrate(args, parser):
                f"at t={traj.times[-1]:.6g}, {traj.n_accepted} steps "
                f"({traj.n_rejected} rejected) -> {args.out}")
     try:
-        report = drift_report(traj)
+        worst = worst_drift(drift_report(traj).values())
         heuristic = 10.0 * config.rtol * config.t_end
-        summary += (f"; worst relative drift {report.worst:.3e}"
+        summary += (f"; worst relative drift {worst:.3e}"
                     f" (heuristic scale {heuristic:.1e})")
     except EmptyTrajectory:
         summary += "; no drift stats (single recorded state)"
@@ -148,7 +150,7 @@ def cmd_xcheck(args, parser):
         points = sample_points(params, box, args.samples)
         residual = __getattr__("identity_residual")(
             params, "flat_twin", flat_twin, points)
-    except (PdmError, ValueError) as exc:
+    except (PdmError, ValueError, MemoryError) as exc:
         parser.error(str(exc))
     ok = residual <= __getattr__("IDENTITY_TOL")
     print(f"tag {which}: {params.family} at n=0 vs flat-plane reference, "

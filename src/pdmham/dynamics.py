@@ -28,7 +28,7 @@ from math import isfinite
 
 from .catalog import CATALOG
 from .errors import EmptyTrajectory, NonFinite
-from .phase import POLE_MARGIN, PhasePoint, check_point, singular_distance
+from .phase import POLE_MARGIN, check_point, singular_distance
 from .tracing import monitors, on_columns, vector_field
 
 COMPLETED = "Completed"
@@ -40,6 +40,11 @@ R_GUARD_MIN = 1e-3
 R_GUARD_MAX = 1e3
 # relative monitor drift above which the certificate's drift check fails
 DRIFT_TOL = 1e-6
+# step sizes: the first trial step, the size below which a run stops, and
+# the largest step
+H_INIT = 1e-3
+H_MIN = 1e-12
+H_MAX = 1.0
 
 # the tolerances inside are the configured ones times this factor, chosen
 # by measurement against closed-form flows (tests/test_closed_form.py):
@@ -112,22 +117,16 @@ class IntegratorConfig:
     t_end: float = 50.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float = 1.0
 
     def __post_init__(self):
         if not all(map(isfinite, astuple(self))):
             raise ValueError("integrator settings must be finite")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_init <= h_max")
         if self.rtol <= 0.0 or self.atol <= 0.0 or self.t_end <= 0.0:
             raise ValueError("tolerances and horizon must be positive")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    params: object
     times: tuple
     states: tuple           # of (r, phi, p_r, p_phi)
     monitors: dict          # name -> tuple, one value per state
@@ -156,12 +155,6 @@ class Trajectory:
         i = len(h) // 2
         median = h[i] if len(h) % 2 else (h[i - 1] + h[i]) / 2
         return h[0], median, h[-1]
-
-    def state(self, i):
-        return PhasePoint(*self.states[i])
-
-    def final(self):
-        return self.state(len(self.times) - 1)
 
 
 def hamilton_vector_field(params, point):
@@ -236,7 +229,7 @@ def integrate(params, initial, config=None):
     names, monitor_row = monitors(params)
     rtol = config.rtol * TOL_FACTOR
     atol = config.atol * TOL_FACTOR
-    t_end, h_min, h_max = config.t_end, config.h_min, config.h_max
+    t_end, h_min, h_max = config.t_end, H_MIN, H_MAX
     t_last = t_end - 1e-12
     # the pole guard runs only where there are poles: elsewhere
     # singular_distance is +inf
@@ -260,7 +253,7 @@ def integrate(params, initial, config=None):
     n_accepted = 0
     n_rejected = 0
     n_invalid = 0
-    h = min(config.h_init, t_end)
+    h = min(H_INIT, t_end)
 
     if k is None:
         termination = SINGULARITY
@@ -336,7 +329,6 @@ def integrate(params, initial, config=None):
             break
 
     return Trajectory(
-        params=params,
         times=tuple(times),
         states=tuple(states),
         monitors={name: tuple(mon_values[j::len(names)])
@@ -349,33 +341,18 @@ def integrate(params, initial, config=None):
     )
 
 
-@dataclass(frozen=True)
-class MonitorDrift:
-    name: str
-    rel_drift: float
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    drifts: tuple
-
-    @property
-    def worst(self):
-        return _max(d.rel_drift for d in self.drifts)
-
-
-def _max(values):
-    """The largest of `values`, from 0.0, or NaN where any is NaN, which
+def worst_drift(drifts):
+    """The largest of `drifts`, from 0.0, or NaN where any is NaN, which
     `max` drops unless it comes first."""
-    values = [0.0, *values]
-    return math.nan if any(map(math.isnan, values)) else max(values)
+    drifts = [0.0, *drifts]
+    return math.nan if any(map(math.isnan, drifts)) else max(drifts)
 
 
 def drift_report(trajectory, terms=None):
-    """Per-monitor drift relative to max(1, |initial value|), and also to
-    the largest size of the monitor's terms along the trajectory when
-    `terms` is a row function like `tracing.monitor_terms(params)`, run
-    on the states' columns."""
+    """{name: rel_drift}: each monitor's drift relative to max(1, |initial
+    value|), and also to the largest size of the monitor's terms along the
+    trajectory when `terms` is a row function like
+    `tracing.monitor_terms(params)`, run on the states' columns."""
     if len(trajectory) < 2:
         raise EmptyTrajectory(f"{len(trajectory)} recorded state(s)")
     sizes = [0.0] * len(trajectory.monitors)
@@ -385,10 +362,9 @@ def drift_report(trajectory, terms=None):
                        axis=1).tolist()
         if not all(map(isfinite, sizes)):
             raise NonFinite("the size of a monitor's terms overflows")
-    drifts = []
+    drifts = {}
     for (name, series), size in zip(trajectory.monitors.items(), sizes):
         j0 = float(series[0])
-        max_abs = float(_max(abs(v - j0) for v in series))
-        drifts.append(MonitorDrift(name, max_abs / max(1.0, abs(j0), size)))
-    return DriftReport(drifts=tuple(drifts))
-
+        max_abs = float(worst_drift(abs(v - j0) for v in series))
+        drifts[name] = max_abs / max(1.0, abs(j0), size)
+    return drifts

@@ -10,8 +10,8 @@ with the family fail their conservation test outright (bracket residual of
 order one; see docs/FORMULA_ERRATA.md).  The certified forms below swap the
 two momentum monomials and are exactly the real and imaginary parts of the
 product A*N, which the factorization laws force to be conserved.  The
-uncorrected variants stay available as variant_jd2 / variant_jd3 so the
-regression suite can keep demonstrating the failure.
+uncorrected variants are written out in the tests' oracles
+(`tests/oracles.py`), which keep demonstrating the failure.
 """
 
 from .dual import cos, sin
@@ -258,11 +258,12 @@ def jc3_2(params, r, phi, p_r, p_phi):
 #    P1*p_phi with the cosine block (equal to -Re(A N) and +Im(A N)
 #    exactly); the uncorrected variants swap the two momentum monomials --
 
-def _jd_form(jd3_shape, momentum, params, r, phi, p_r, p_phi):
+def _jd_form(jd3_shape, params, r, phi, p_r, p_phi):
     k = params.k_n
     u = k * phi
     c, s, half = cos(u), sin(u), 0.5 * u
     block, k0_term = (c, s) if jd3_shape else (s, -c)
+    momentum = p1 if jd3_shape else p2
     return (momentum(params, r, phi, p_r, p_phi) * p_phi
             + params.k0 * k0_term
             + params.k1 * block * sin(half) * r ** (-0.5 * k)
@@ -270,21 +271,11 @@ def _jd_form(jd3_shape, momentum, params, r, phi, p_r, p_phi):
 
 
 def jd2(params, r, phi, p_r, p_phi):
-    return _jd_form(False, p2, params, r, phi, p_r, p_phi)
+    return _jd_form(False, params, r, phi, p_r, p_phi)
 
 
 def jd3(params, r, phi, p_r, p_phi):
-    return _jd_form(True, p1, params, r, phi, p_r, p_phi)
-
-
-def variant_jd2(params, r, phi, p_r, p_phi):
-    """Uncorrected d-family form: P1*p_phi momentum part.  Not conserved."""
-    return _jd_form(False, p1, params, r, phi, p_r, p_phi)
-
-
-def variant_jd3(params, r, phi, p_r, p_phi):
-    """Uncorrected d-family companion with P2*p_phi.  Not conserved."""
-    return _jd_form(True, p2, params, r, phi, p_r, p_phi)
+    return _jd_form(True, params, r, phi, p_r, p_phi)
 
 
 # -- complex factor functions --

@@ -13,6 +13,11 @@ _HALF_PI = 0.5 * math.pi
 
 # closest approach of u = k_n*phi to an angular pole that a state may make
 POLE_MARGIN = 1e-6
+# the radial range and the momentum bound |p_r|, |p_phi| <= P_MAX of every
+# sampling box
+R_MIN = 0.5
+R_MAX = 2.0
+P_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -59,31 +64,26 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Sampling region with an exclusion margin around angular poles.
+    """Sampling region with an exclusion margin around angular poles; r
+    and the momenta range over R_MIN <= r <= R_MAX and |p| <= P_MAX.
 
     The margin is measured in the argument u = k_n*phi, where the singular
     loci are u-periodic; 1e-4 keeps pole-adjacent roundoff amplification
     (which grows like 1/distance) well below the bracket tolerances.
     """
 
-    r_min: float = 0.5
-    r_max: float = 2.0
     phi_min: float = 0.05
     phi_max: float = 2.0 * math.pi - 0.05
-    p_max: float = 2.0
     phi_margin: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("r_min", "r_max", "phi_min", "phi_max", "p_max",
-                     "phi_margin"):
+        for name in ("phi_min", "phi_max", "phi_margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
         if self.phi_margin <= 0.0:
             raise ValueError("phi_margin must be positive")
-        if self.phi_min >= self.phi_max or self.p_max <= 0.0:
+        if self.phi_min >= self.phi_max:
             raise ValueError("empty coordinate ranges")
 
 
@@ -147,8 +147,8 @@ def sample_draws(params, box, count):
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(box.seed)
-    low = (box.r_min, box.phi_min, -box.p_max, -box.p_max)
-    high = (box.r_max, box.phi_max, box.p_max, box.p_max)
+    low = (R_MIN, box.phi_min, -P_MAX, -P_MAX)
+    high = (R_MAX, box.phi_max, P_MAX, P_MAX)
     rounds, size = 10, max(100, count)
     kept = np.empty((0, 4))
     for _ in range(rounds):

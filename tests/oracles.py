@@ -7,12 +7,15 @@
 - Central finite differences with per-coordinate steps, for gradients and
   canonical Poisson brackets.
 - The forward/backward round trip of the integrator.
+- The uncorrected d-family pair, whose momentum monomials are swapped
+  (docs/FORMULA_ERRATA.md): no bracket test may pass them.
 """
 
 import sys
 
 from pdmham.dual import Dual, cos, seed, sin, tangent, value
 from pdmham.dynamics import COMPLETED, integrate
+from pdmham.geometry import noether_p1, noether_p2
 from pdmham.phase import PhasePoint
 
 FD_STEP_FACTOR = sys.float_info.epsilon ** (1.0 / 3.0)
@@ -125,11 +128,35 @@ def time_reversal_defect(params, initial, config=None):
     forward = integrate(params, initial, config)
     if forward.termination != COMPLETED:
         return None
-    turn = forward.final()
+    turn = PhasePoint(*forward.states[-1])
     back = integrate(params, PhasePoint(turn.r, turn.phi, -turn.p_r,
                                         -turn.p_phi), config)
     if back.termination != COMPLETED:
         return None
-    end = back.final()
+    end = PhasePoint(*back.states[-1])
     return max(abs(end.r - initial.r), abs(end.phi - initial.phi),
                abs(end.p_r + initial.p_r), abs(end.p_phi + initial.p_phi))
+
+
+def variant_jd2(params, r, phi, p_r, p_phi):
+    """Uncorrected d-family form: P1*p_phi with the sine block.  Not
+    conserved."""
+    k = params.k_n
+    u = k * phi
+    s, half = sin(u), 0.5 * u
+    return (noether_p1(params.n, r, phi, p_r, p_phi) * p_phi
+            - params.k0 * cos(u)
+            + params.k1 * s * sin(half) * r ** (-0.5 * k)
+            - params.k2 * s * cos(half) * r ** (-0.5 * k))
+
+
+def variant_jd3(params, r, phi, p_r, p_phi):
+    """Uncorrected d-family companion: P2*p_phi with the cosine block.  Not
+    conserved."""
+    k = params.k_n
+    u = k * phi
+    c, half = cos(u), 0.5 * u
+    return (noether_p2(params.n, r, phi, p_r, p_phi) * p_phi
+            + params.k0 * sin(u)
+            + params.k1 * c * sin(half) * r ** (-0.5 * k)
+            - params.k2 * c * cos(half) * r ** (-0.5 * k))

@@ -1,8 +1,10 @@
-"""The package's public name list, the call shapes the benchmark's
-traced mode (`perfbench/spans.py`, `perfbench/run.py`) relies on, and
-which commands load numpy in a fresh process."""
+"""The package's public name list, the config fields the program sets,
+the call shapes the benchmark's traced mode (`perfbench/spans.py`,
+`perfbench/run.py`) relies on, and which commands load numpy in a fresh
+process."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -84,6 +86,35 @@ def test_every_public_name_has_a_reader():
               if not any((module, name) in reads
                          for module in owners.get(name, ()))]
     assert not unread
+
+
+CONFIGS = (dynamics.IntegratorConfig, phase.DomainBox, phase.SampleConfig)
+
+
+def _program_setters():
+    """The (class name, field) pairs that a call of the class passes, by
+    keyword or by position, in a `src/pdmham` or `perfbench` module."""
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in CONFIGS}
+    setters = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in fields:
+                setters.update((name, field)
+                               for field in fields[name][:len(node.args)])
+                setters.update((name, k.arg) for k in node.keywords)
+    return fields, setters
+
+
+def test_every_config_field_has_a_program_setter():
+    # a field that only the tests set is a constant, not an option
+    fields, setters = _program_setters()
+    unset = [f"{name}.{field}" for name, names in fields.items()
+             for field in names if (name, field) not in setters]
+    assert not unset
 
 
 _ = object()

@@ -34,6 +34,12 @@ def _sample(count=120, seed=0):
     return SampleConfig(count=count, box=DomainBox(seed=seed))
 
 
+def _check(cert, name):
+    """The one check of `cert` called `name`."""
+    check, = (c for c in cert.checks if c.name == name)
+    return check
+
+
 @pytest.fixture(scope="module")
 def nd_cert():
     return certificate(ModelParams("nd", 3.0, *COUPLINGS), _sample())
@@ -61,14 +67,14 @@ def test_checks_hold_plain_python_scalars(family):
 def test_geodesic_killing_check_skipped():
     cert = certificate(ModelParams("geodesic", 2.0, 0.0, 0.0, 0.0),
                        _sample())
-    kt = cert.check("killing_tensor")
+    kt = _check(cert, "killing_tensor")
     assert kt.passed is None and kt.max_residual is None
     assert "skipped" in kt.note
     assert cert.verdict == "pass"
 
 
 def test_negative_controls_fire(nd_cert):
-    nc = nd_cert.check("negative_control")
+    nc = _check(nd_cert, "negative_control")
     assert nc.passed is True
     # control strength: the weakest corruption still lands far above the
     # conservation tolerance
@@ -76,7 +82,7 @@ def test_negative_controls_fire(nd_cert):
 
 
 def test_drift_check_runs(nd_cert):
-    drift = nd_cert.check("drift")
+    drift = _check(nd_cert, "drift")
     assert drift.passed is True
     assert drift.max_residual <= 1e-6
 
@@ -113,10 +119,10 @@ def test_corrupt_argument_fails_certificate():
     params = ModelParams("nd", 3.0, *COUPLINGS)
     cert = certificate(params, _sample(), corrupt="Jd2")
     assert cert.verdict == "fail"
-    broken = cert.check("bracket:Jd2")
+    broken = _check(cert, "bracket:Jd2")
     assert broken.passed is False
     assert "corruption" in broken.note
-    assert cert.check("bracket:Jd3").passed is True
+    assert _check(cert, "bracket:Jd3").passed is True
 
 
 def test_corrupt_argument_validation():
@@ -356,11 +362,6 @@ def test_a_second_certificate_at_equal_params_compiles_no_trace(
     assert labels == []
 
 
-def test_certificate_check_lookup_raises(nd_cert):
-    with pytest.raises(KeyError):
-        nd_cert.check("no_such_check")
-
-
 def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(count=0)
@@ -385,7 +386,7 @@ def test_plain_point_lists_give_the_certificate_checks(family):
     fam = lookup(family)
 
     def residual(name):
-        return cert.check(name).max_residual
+        return _check(cert, name).max_residual
 
     for name, res in bracket_residual_suite(params, sample, points).items():
         assert res == residual(f"bracket:{name}")

@@ -209,6 +209,17 @@ def test_xcheck_overflowing_coupling_is_usage_error(coupling, capsys):
         capsys.readouterr().err
 
 
+# 10**15 draws of four float64 take 28.4 PiB, beyond the address space of
+# a 64-bit process, so numpy refuses them before it touches memory
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "nc", "--n", "2", "--k0=-1"],
+    ["xcheck", "--which", "a"],
+])
+def test_a_sample_too_large_to_allocate_is_usage_error(argv, capsys):
+    err = _usage_error([*argv, "--samples", str(10 ** 15)], capsys)
+    assert "pdm: error: Unable to allocate 28.4 PiB" in err
+
+
 # couplings maps that each break one term of the catalog's reduction
 WRONG_MAPS = {
     "na": lambda p: (p.k0, p.k1, p.k2),                 # without the 2

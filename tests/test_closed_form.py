@@ -132,8 +132,8 @@ def _end_gap(params, start, exact_flow):
     traj = integrate(params, _to_polar(n, *start),
                      IntegratorConfig(t_end=T_END))
     assert traj.termination == COMPLETED
-    got = _to_cartesian(n, traj.final())
-    want = exact_flow(_to_cartesian(n, traj.state(0)), T_END)
+    got = _to_cartesian(n, PhasePoint(*traj.states[-1]))
+    want = exact_flow(_to_cartesian(n, PhasePoint(*traj.states[0])), T_END)
     return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
 
 

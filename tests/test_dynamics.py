@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from oracles import gradient_fd, time_reversal_defect
+from pdmham import dynamics
 from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE, A, B, E3,
                              E5, IntegratorConfig, Trajectory, _step,
                              _try_field, drift_report, hamilton_vector_field,
-                             integrate)
+                             integrate, worst_drift)
 from pdmham.errors import AngularSingularity, EmptyTrajectory, NonFinite
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 from pdmham.tracing import monitor_terms
@@ -32,10 +33,8 @@ def test_config_validation():
         IntegratorConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_min=1.0, h_init=1e-3)
     for field, value in (("t_end", math.inf), ("rtol", math.nan),
-                         ("atol", math.inf), ("h_max", math.inf)):
+                         ("atol", math.inf)):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(**{field: value})
 
@@ -53,20 +52,22 @@ def test_tableau_is_consistent():
     assert math.fsum(E3) == pytest.approx(0.0, abs=1e-15)
 
 
-def _fixed_step(h):
-    """Step size h up to t = 2: tolerances this loose accept every step."""
-    return IntegratorConfig(t_end=2.0, h_init=h, h_min=h, h_max=h,
-                            rtol=1e9, atol=1e9)
+def _fixed_step(monkeypatch, h):
+    """Step size h up to t = 2: the step bounds pinned to h, and tolerances
+    this loose accept every step."""
+    for name in ("H_INIT", "H_MIN", "H_MAX"):
+        monkeypatch.setattr(dynamics, name, h)
+    return IntegratorConfig(t_end=2.0, rtol=1e9, atol=1e9)
 
 
-def test_fixed_step_order_is_eight():
+def test_fixed_step_order_is_eight(monkeypatch):
     # halving h cuts the endpoint error by about 2^8; the errors at these
     # steps sit far above the roundoff floor near 1e-14
     params = ModelParams("na_central", 2.0, 1.0)
     start = PhasePoint(1.0, 0.4, 0.2, 0.8)
-    ref = integrate(params, start, _fixed_step(1e-3)).final().as_tuple()
+    ref = integrate(params, start, _fixed_step(monkeypatch, 1e-3)).states[-1]
     errs = [max(abs(a - b) for a, b in zip(integrate(
-        params, start, _fixed_step(h)).final().as_tuple(), ref))
+        params, start, _fixed_step(monkeypatch, h)).states[-1], ref))
         for h in (0.2, 0.1, 0.05)]
     assert errs[-1] > 1e-12
     for coarse, fine in zip(errs, errs[1:]):
@@ -185,16 +186,18 @@ def test_straight_line_geodesic():
     traj = integrate(GEO0, PhasePoint(1.0, 0.0, 1.0, 0.0),
                      IntegratorConfig(t_end=2.0))
     assert traj.termination == COMPLETED
-    assert abs(traj.final().r - 3.0) <= 1e-8
-    assert traj.final().phi == pytest.approx(0.0, abs=1e-12)
+    r, phi, _, _ = traj.states[-1]
+    assert abs(r - 3.0) <= 1e-8
+    assert phi == pytest.approx(0.0, abs=1e-12)
     assert traj.n_accepted == len(traj) - 1
 
 
-def test_field_evaluation_count():
-    # h_init = 0.5 fails the error test first, so rejections are counted too
+def test_field_evaluation_count(monkeypatch):
+    # H_INIT = 0.5 fails the error test first, so rejections are counted too
+    monkeypatch.setattr(dynamics, "H_INIT", 0.5)
     traj = integrate(ModelParams("nc", 2.0, -1.0),
                      PhasePoint(1.0, 0.5, 0.1, 0.9),
-                     IntegratorConfig(t_end=5.0, h_init=0.5))
+                     IntegratorConfig(t_end=5.0))
     assert traj.termination == COMPLETED and traj.n_rejected > 0
     # 11 stages per attempted step past the first, plus the new state's
     # field once per accepted step
@@ -247,10 +250,9 @@ def test_integral_drift_tracks_h_drift():
                      IntegratorConfig(t_end=20.0))
     assert traj.termination == COMPLETED
     rep = drift_report(traj)
-    by_name = {d.name: d for d in rep.drifts}
-    h_floor = max(by_name["H"].rel_drift, 1e-14)
+    h_floor = max(rep["H"], 1e-14)
     for name in ("Jd2", "Jd3"):
-        assert by_name[name].rel_drift <= 100.0 * h_floor
+        assert rep[name] <= 100.0 * h_floor
 
 
 def test_guard_termination_inward_collapse():
@@ -262,7 +264,7 @@ def test_guard_termination_inward_collapse():
     assert traj.termination == SINGULARITY
     assert traj.times[-1] < 2.0
     assert len(traj) > 2
-    assert traj.final().r <= 2e-3
+    assert traj.states[-1][0] <= 2e-3
 
 
 def test_deformed_kinetic_freezes_inward_flow():
@@ -273,7 +275,7 @@ def test_deformed_kinetic_freezes_inward_flow():
     traj = integrate(params, PhasePoint(0.8, 1.0, -1.5, 0.0),
                      IntegratorConfig(t_end=50.0))
     assert traj.termination == COMPLETED
-    assert 0.0 < traj.final().r < 0.2
+    assert 0.0 < traj.states[-1][0] < 0.2
 
 
 def test_guard_termination_outward_escape():
@@ -281,7 +283,7 @@ def test_guard_termination_outward_escape():
     traj = integrate(params, PhasePoint(1.0, 0.5, 1.0, 0.0),
                      IntegratorConfig(t_end=50.0))
     assert traj.termination == SINGULARITY
-    assert traj.final().r > 100.0
+    assert traj.states[-1][0] > 100.0
 
 
 def test_collapsing_accepted_steps_end_as_step_failure():
@@ -328,16 +330,16 @@ def test_reversal_handles_early_stop():
     assert time_reversal_defect(kepler, infall, config) is None
 
 
-def test_fixed_step_matches_adaptive():
+def test_fixed_step_matches_adaptive(monkeypatch):
     params = ModelParams("na_central", 2.0, 1.0, 0.0, 0.0)
     initial = PhasePoint(1.0, 0.4, 0.2, 0.8)
     ref = integrate(params, initial, IntegratorConfig(t_end=2.0, rtol=1e-12,
                                                       atol=1e-14))
-    fixed = integrate(params, initial, _fixed_step(1e-3))
+    fixed = integrate(params, initial, _fixed_step(monkeypatch, 1e-3))
     assert fixed.termination == COMPLETED
     assert fixed.n_accepted == pytest.approx(2000, abs=1)
     assert max(abs(a - b) for a, b in zip(
-        fixed.final().as_tuple(), ref.final().as_tuple())) <= 1e-9
+        fixed.states[-1], ref.states[-1])) <= 1e-9
 
 
 def test_final_state_distance_zero_on_same_run():
@@ -355,7 +357,7 @@ def test_final_state_distance_zero_on_same_run():
 def _manual_trajectory(monitors, k=5):
     times = np.linspace(0.0, 1.0, k)
     states = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (k, 1))
-    return Trajectory(params=GEO0, times=times, states=states,
+    return Trajectory(times=times, states=states,
                       monitors=monitors, termination=COMPLETED,
                       n_accepted=k - 1, n_rejected=0)
 
@@ -363,7 +365,7 @@ def _manual_trajectory(monitors, k=5):
 def test_drift_report_constant_monitor():
     traj = _manual_trajectory({"C": np.full(5, 3.7)})
     rep = drift_report(traj)
-    assert rep.worst == 0.0
+    assert worst_drift(rep.values()) == 0.0
 
 
 def test_drift_report_flags_and_filters():
@@ -372,8 +374,8 @@ def test_drift_report_flags_and_filters():
         "bad": np.array([1.0, 1.0, 1.0, 1.0, 1.5]),
     })
     rep = drift_report(traj)
-    assert [d.name for d in rep.drifts if d.rel_drift > 1e-3] == ["bad"]
-    assert rep.worst == pytest.approx(0.5)
+    assert [name for name, drift in rep.items() if drift > 1e-3] == ["bad"]
+    assert worst_drift(rep.values()) == pytest.approx(0.5)
 
 
 def test_drift_report_worst_keeps_a_nan_drift_that_is_not_first():
@@ -382,26 +384,26 @@ def test_drift_report_worst_keeps_a_nan_drift_that_is_not_first():
     traj = _manual_trajectory({"H": (1.0, 1.0), "J1": (math.inf, math.inf)},
                               k=2)
     rep = drift_report(traj)
-    assert rep.drifts[0].rel_drift == 0.0
-    assert math.isnan(rep.drifts[1].rel_drift)
-    assert math.isnan(rep.worst)
-    assert all(type(d.rel_drift) is float for d in rep.drifts)
+    assert rep["H"] == 0.0
+    assert math.isnan(rep["J1"])
+    assert math.isnan(worst_drift(rep.values()))
+    assert all(type(drift) is float for drift in rep.values())
 
 
 def test_drift_report_relative_normalization():
     # drift is relative to max(1, |J(0)|)
     traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
     rep = drift_report(traj)
-    assert rep.drifts[0].rel_drift == pytest.approx(0.1)
+    assert rep["J"] == pytest.approx(0.1)
 
 
 def test_drift_report_scales_by_the_size_of_the_terms():
     # drift is relative to max(1, |J(0)|, the largest term size on the row)
     traj = _manual_trajectory({"J": np.array([10.0, 10.0, 10.0, 10.0, 11.0])})
     rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (1e3,))
-    assert rep.drifts[0].rel_drift == pytest.approx(1e-3)
+    assert rep["J"] == pytest.approx(1e-3)
     rep = drift_report(traj, terms=lambda r, phi, p_r, p_phi: (2.0,))
-    assert rep.drifts[0].rel_drift == pytest.approx(0.1)
+    assert rep["J"] == pytest.approx(0.1)
     with pytest.raises(NonFinite):
         drift_report(traj, terms=lambda r, phi, p_r, p_phi: (math.inf,))
 
@@ -420,7 +422,7 @@ def test_drift_report_terms_on_columns_are_the_per_state_loop(family, n):
     want = [float(np.max(np.abs(np.asarray(series) - series[0]))) / max(
         1.0, abs(series[0]), size)
         for series, size in zip(traj.monitors.values(), sizes)]
-    got = [d.rel_drift for d in drift_report(traj, terms=terms).drifts]
+    got = list(drift_report(traj, terms=terms).values())
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

@@ -8,6 +8,7 @@ are documented in docs/FORMULA_ERRATA.md.  These tests pin the evidence.
 import numpy as np
 import pytest
 
+from oracles import variant_jd2, variant_jd3
 from pdmham import (
     DomainBox,
     ModelParams,
@@ -16,7 +17,7 @@ from pdmham import (
     sample_points,
     scaled_residual,
 )
-from pdmham.formulas import a_components, n_single, variant_jd2, variant_jd3
+from pdmham.formulas import a_components, n_single
 
 PARAMS = ModelParams("nd", 3.0, 1.0, 0.5, -0.3)
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import variant_jd2, variant_jd3
 from pdmham import formulas
 from pdmham.catalog import CATALOG, lookup
 from pdmham.errors import UnknownFamily, UnknownIntegral
 from pdmham.families import kinetic
-from pdmham.formulas import (a_components, m_components, n_double, n_single,
-                             variant_jd2, variant_jd3)
+from pdmham.formulas import a_components, m_components, n_double, n_single
 from pdmham.observables import family_integrals, integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
 
