@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import formulas as f
-from .errors import UnknownFamily
+from .errors import PdmError
 
 
 @dataclass(frozen=True)
@@ -181,4 +181,4 @@ def lookup(name):
     try:
         return CATALOG[name]
     except KeyError:
-        raise UnknownFamily(name) from None
+        raise PdmError(f"unknown family {name!r}") from None

@@ -31,8 +31,7 @@ from .brackets import BRACKET_TOL, bracket_scale, row_bracket
 from .catalog import lookup
 from .dynamics import (DRIFT_TOL, IntegratorConfig, drift_report, integrate,
                        worst_drift)
-from .errors import (DegenerateN, EmptyTrajectory, NonFinite,
-                     NoQuadraticIntegral, UnknownIntegral)
+from .errors import EmptyTrajectory, NoQuadraticIntegral, PdmError
 from .formulas import kinetic_noether
 from .observables import (corruption, corruption_parts, family_integrals,
                           integral)
@@ -147,14 +146,14 @@ def _columns(params, sample, points=None):
 
 def _worst(check, residuals, points):
     """The largest of `residuals`, from 0.0: an array whose first axis runs
-    over `points`.  NonFinite names `check`, the first NaN or infinity in
+    over `points`.  A PdmError names `check`, the first NaN or infinity in
     C order, which `max` would drop, and its point."""
     bad = ~np.isfinite(residuals)
     if bad.any():
         first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFinite(f"{check} residual is {float(residuals[first])} at "
-                        f"the sample point (r, phi, p_r, p_phi) = "
-                        f"{points[first[0]].as_tuple()}")
+        raise PdmError(f"{check} residual is {float(residuals[first])} at "
+                       f"the sample point (r, phi, p_r, p_phi) = "
+                       f"{points[first[0]].as_tuple()}")
     return float(residuals.max(initial=0.0))
 
 
@@ -177,7 +176,7 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     """
     points = _columns(params, sample, points)
     if corrupt is not None and corrupt not in family_integrals(params.family):
-        raise UnknownIntegral(f"{params.family} does not bind {corrupt!r}")
+        raise PdmError(f"{params.family} does not bind {corrupt!r}")
     out = {}
     for obs in lookup(params.family).bound:
         f = obs
@@ -261,7 +260,7 @@ def killing_tensor_check(params, sample, points=None):
             f"{params.family} binds no quadratic integral")
     points = _columns(params, sample, points)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    # integral by integral, so NonFinite names the first in that order
+    # integral by integral, so the PdmError names the first in that order
     return max(_worst("killing_tensor", _residuals(zeroed, obs, points),
                       points) for obs in quadratics)
 
@@ -384,7 +383,7 @@ def corruption_suite(params, sample, points=None):
 
 
 def _require_finite(params, points):
-    """Raise NonFinite unless H and every bound integral are finite at
+    """Raise PdmError unless H and every bound integral are finite at
     every sample point: on the value columns of their gradient rows, or,
     where one is not finite or a row raises (to raise again in the check
     that needs it), point by point through the monitor row."""
@@ -396,8 +395,8 @@ def _require_finite(params, points):
     for pt in points:
         for name, val in zip(names, row(*pt.as_tuple())):
             if not math.isfinite(val):
-                raise NonFinite(f"{name} is {val} at the sample point "
-                                f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
+                raise PdmError(f"{name} is {val} at the sample point "
+                               f"(r, phi, p_r, p_phi) = {pt.as_tuple()}")
 
 
 def certificate(params, sample=None, config=None, corrupt=None):
@@ -406,13 +405,13 @@ def certificate(params, sample=None, config=None, corrupt=None):
     Check failures turn the verdict, never raise; a check that cannot run
     for structural reasons is recorded as skipped with its reason.
     Couplings so large that H, an integral or a check overflows, or that
-    leave a residual NaN or infinite, raise NonFinite before a verdict is
+    leave a residual NaN or infinite, raise PdmError before a verdict is
     drawn.  `corrupt` names one integral to corrupt before the bracket
     suite, as a live demonstration that a broken claim fails the
     certificate.
     """
     if params.n == 1.0:
-        raise DegenerateN("n = 1 degenerate (k_n = 0): P2 = -Pphi")
+        raise PdmError("n = 1 degenerate (k_n = 0): P2 = -Pphi")
     sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
     points = _columns(params, sample)
@@ -421,8 +420,8 @@ def certificate(params, sample=None, config=None, corrupt=None):
         checks = tuple(_checks(params, sample, config, points, corrupt))
     except (OverflowError, np.linalg.LinAlgError) as exc:
         # the SVD of the rank check fails only on partials that overflowed
-        raise NonFinite(f"a check overflows at these couplings: "
-                        f"{exc.args[-1]}") from None
+        raise PdmError(f"a check overflows at these couplings: "
+                       f"{exc.args[-1]}") from None
     verdict = "pass" if all(c.passed is not False for c in checks) else "fail"
     return Certificate(params=params, checks=checks, verdict=verdict)
 

@@ -16,6 +16,7 @@ values.  The sampling seed defaults to 0.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -73,9 +74,13 @@ def cmd_list(_args, _parser):
     return EXIT_PASS
 
 
+@contextlib.contextmanager
 def _open_out(path, parser):
+    """`path` open for writing; an OSError from its open, a write or its
+    close (a full disk among them) is a usage error, not a traceback."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         parser.error(f"cannot write {path}: {exc}")
 

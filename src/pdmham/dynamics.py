@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass
 from math import isfinite
 
 from .catalog import CATALOG
-from .errors import EmptyTrajectory, NonFinite
+from .errors import EmptyTrajectory, PdmError
 from .phase import POLE_MARGIN, check_point, singular_distance
 from .tracing import monitors, on_columns, vector_field
 
@@ -246,7 +246,7 @@ def integrate(params, initial, config=None):
     try:
         mon_values = list(monitor_row(*y))
     except (ArithmeticError, ValueError, TypeError) as exc:
-        raise NonFinite(f"monitors at the initial state: {exc}") from None
+        raise PdmError(f"monitors at the initial state: {exc}") from None
     k = _try_field(field, *y)
     n_evals = 1
     termination = COMPLETED
@@ -361,7 +361,7 @@ def drift_report(trajectory, terms=None):
         sizes = np.max(on_columns(terms, np.asarray(trajectory.states)),
                        axis=1).tolist()
         if not all(map(isfinite, sizes)):
-            raise NonFinite("the size of a monitor's terms overflows")
+            raise PdmError("the size of a monitor's terms overflows")
     drifts = {}
     for (name, series), size in zip(trajectory.monitors.items(), sizes):
         j0 = float(series[0])

@@ -1,44 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every domain fault is a `PdmError`; a subclass exists only where the
+program catches that fault by name."""
 
 
 class PdmError(Exception):
     """Base class for every domain error raised by this package."""
-
-
-class UnknownFamily(PdmError):
-    pass
-
-
-class UnknownIntegral(PdmError):
-    pass
-
-
-class RadiusNonPositive(PdmError):
-    pass
-
-
-class AngularSingularity(PdmError):
-    pass
-
-
-class NonFinite(PdmError):
-    pass
-
-
-class DegenerateN(PdmError):
-    pass
-
-
-class EmptyDomain(PdmError):
-    pass
-
-
-class CartesianSingularity(PdmError):
-    pass
-
-
-class NonZeroN(PdmError):
-    pass
 
 
 class NoQuadraticIntegral(PdmError):

@@ -10,7 +10,7 @@ import math
 from dataclasses import replace
 
 from .catalog import lookup
-from .errors import CartesianSingularity, NonZeroN, UnknownFamily
+from .errors import PdmError
 from .formulas import kinetic
 from .phase import DomainBox
 
@@ -35,19 +35,19 @@ def euclidean_potential(tag, couplings, x, y):
     rr = math.hypot(x, y)
     if tag == "a":
         if x == 0.0 or y == 0.0:
-            raise CartesianSingularity("axis point")
+            raise PdmError("axis point")
         return 0.5 * c0 * (x * x + y * y) + c1 / (x * x) + c2 / (y * y)
     if tag == "b":
         if x == 0.0:
-            raise CartesianSingularity("x = 0")
+            raise PdmError("x = 0")
         return 0.5 * c0 * (x * x + 4.0 * y * y) + c1 / (x * x) + c2 * y
     if tag == "c":
         if rr == 0.0 or y == 0.0:
-            raise CartesianSingularity("origin or y = 0")
+            raise PdmError("origin or y = 0")
         return c0 / rr + c1 / (y * y) + c2 * x / (y * y * rr)
     if tag == "d":
         if rr == 0.0:
-            raise CartesianSingularity("origin")
+            raise PdmError("origin")
         return (c0 / rr + c1 * math.sqrt(rr + x) / rr
                 + c2 * math.sqrt(rr - x) / rr)
     raise ValueError(f"unknown Euclidean tag {tag!r}")
@@ -56,7 +56,7 @@ def euclidean_potential(tag, couplings, x, y):
 def _reduction(params):
     reduction = lookup(params.family).reduction
     if reduction is None:
-        raise UnknownFamily(f"{params.family} has no flat-plane reduction map")
+        raise PdmError(f"{params.family} has no flat-plane reduction map")
     return reduction
 
 
@@ -68,7 +68,7 @@ def flat_twin(params, r, phi, p_r, p_phi):
     sum |U_i| and sum |V_i| with only k_i set, sizes the roundoff in U - V
     that terms of opposite sign leave however small U is."""
     if params.n != 0.0:
-        raise NonZeroN(f"n = {params.n}, reduction defined at n = 0")
+        raise PdmError(f"n = {params.n}, reduction defined at n = 0")
     red = _reduction(params)
     x, y = r * math.cos(phi), r * math.sin(phi)
 

@@ -11,17 +11,11 @@ import functools
 from dataclasses import replace
 
 from .catalog import Integral, lookup
-from .errors import UnknownIntegral
+from .errors import PdmError
 from .families import hamiltonian
-from .formulas import kinetic
-
-
-def _t(params, r, phi, p_r, p_phi):
-    return kinetic(params.n, r, p_r, p_phi)
-
 
 # available for every family next to its bound integrals
-_EVERY_FAMILY = {"H": Integral("H", hamiltonian), "T": Integral("T", _t)}
+_H = Integral("H", hamiltonian)
 
 
 def family_integrals(family):
@@ -30,14 +24,14 @@ def family_integrals(family):
 
 
 def integral(family, name):
-    """Observable for one bound integral, or H (or T) for any family."""
+    """Observable for one bound integral, or H for any family."""
     bound = lookup(family).bound
-    if name in _EVERY_FAMILY:
-        return _EVERY_FAMILY[name]
+    if name == "H":
+        return _H
     for obs in bound:
         if obs.name == name:
             return obs
-    raise UnknownIntegral(f"{family} does not bind {name!r}")
+    raise PdmError(f"{family} does not bind {name!r}")
 
 
 CORRUPTION_FACTOR = 0.1

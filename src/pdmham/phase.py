@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import CATALOG
-from .errors import (AngularSingularity, DegenerateN, EmptyDomain, NonFinite,
-                     RadiusNonPositive, UnknownFamily)
+from .errors import PdmError
 
 _HALF_PI = 0.5 * math.pi
 
@@ -50,12 +49,12 @@ class ModelParams:
 
     def __post_init__(self):
         if self.family not in CATALOG:
-            raise UnknownFamily(self.family)
+            raise PdmError(f"unknown family {self.family!r}")
         for name in ("n", "k0", "k1", "k2"):
             if not math.isfinite(value := getattr(self, name)):
-                raise NonFinite(f"{name} must be finite, got {value}")
+                raise PdmError(f"{name} must be finite, got {value}")
         if CATALOG[self.family].degenerate_at_n1 and self.n == 1.0:
-            raise DegenerateN("n = 1 degenerate (k_n = 0)")
+            raise PdmError("n = 1 degenerate (k_n = 0)")
 
     @property
     def k_n(self):
@@ -119,12 +118,12 @@ def check_point(point, params, phi_margin=POLE_MARGIN):
     """Raise the specific domain error that makes `point` invalid, if any."""
     for name in ("r", "phi", "p_r", "p_phi"):
         if not math.isfinite(value := getattr(point, name)):
-            raise NonFinite(f"{name} must be finite, got {value}")
+            raise PdmError(f"{name} must be finite, got {value}")
     if point.r <= 0.0:
-        raise RadiusNonPositive(f"r = {point.r}")
+        raise PdmError(f"r = {point.r}")
     d = singular_distance(params.family, params.n, point.phi)
     if d <= phi_margin:
-        raise AngularSingularity(
+        raise PdmError(
             f"k_n*phi within {phi_margin} of an angular pole (distance {d:.3e})")
 
 
@@ -140,7 +139,7 @@ def sample_draws(params, box, count):
 
     Deterministic for a fixed box seed.  Candidates are drawn a round of
     max(100, count) at a time, which gives the same stream as one draw per
-    coordinate.  Raises EmptyDomain when the guards reject an entire budget
+    coordinate.  Raises PdmError when the guards reject an entire budget
     of ten rounds.
     """
     import numpy as np
@@ -163,7 +162,7 @@ def sample_draws(params, box, count):
         kept = np.concatenate([kept, new[:count - len(kept)]])
         if len(kept) == count:
             return kept
-    raise EmptyDomain(
+    raise PdmError(
         f"{len(kept)}/{count} valid points after {rounds * size} draws")
 
 

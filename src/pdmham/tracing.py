@@ -268,7 +268,7 @@ def gradient_row(params, fn):
     dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi), at one point or on
     float64 columns (where an entry no coordinate reaches stays a float).
 
-    `fn` is a function as the catalog holds it: an `Integral`, H or T
+    `fn` is a function as the catalog holds it: an `Integral` or H
     (`observables.integral`), a part of a complex factor in `laws` or
     `conserved_product`, or a corrupted integral
     (`observables.corruption`); each is one object per key, so the cache

@@ -9,18 +9,26 @@
 - The forward/backward round trip of the integrator.
 - The uncorrected d-family pair, whose momentum monomials are swapped
   (docs/FORMULA_ERRATA.md): no bracket test may pass them.
+- The kinetic energy T as an integral of any family, which the package
+  itself never asks for.
 """
 
 import sys
 
+from pdmham.catalog import Integral
 from pdmham.dual import Dual, cos, seed, sin, tangent, value
 from pdmham.dynamics import COMPLETED, integrate
+from pdmham.formulas import kinetic
 from pdmham.geometry import noether_p1, noether_p2
 from pdmham.phase import PhasePoint
 
 FD_STEP_FACTOR = sys.float_info.epsilon ** (1.0 / 3.0)
 
 KILLING_TAGS = ("X1", "X2", "XJ")
+
+# T = T_n(r, p_r, p_phi), in the catalog's (params, r, phi, p_r, p_phi) form
+KINETIC = Integral("T", lambda params, r, phi, p_r, p_phi: kinetic(
+    params.n, r, p_r, p_phi))
 
 
 def metric(n, r):

@@ -1,5 +1,5 @@
 """The package's public name list, the config fields the program sets,
-the call shapes the benchmark's traced mode (`perfbench/spans.py`,
+the error classes it catches by name, the call shapes the benchmark's traced mode (`perfbench/spans.py`,
 `perfbench/run.py`) relies on, and which commands load numpy in a fresh
 process."""
 
@@ -15,8 +15,8 @@ import pytest
 
 import pdmham
 import pdmham.cli
-from pdmham import (brackets, certify, dual, dynamics, families, geometry,
-                    observables, phase)
+from pdmham import (brackets, certify, dual, dynamics, errors, families,
+                    geometry, observables, phase)
 
 
 def test_every_public_name_resolves():
@@ -115,6 +115,29 @@ def test_every_config_field_has_a_program_setter():
     unset = [f"{name}.{field}" for name, names in fields.items()
              for field in names if (name, field) not in setters]
     assert not unset
+
+
+def _caught_names():
+    """The names that an `except` clause in a `src/pdmham` or `perfbench`
+    module catches, alone or in a tuple."""
+    caught = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = getattr(node.type, "elts", [node.type])
+                caught.update(getattr(t, "attr", getattr(t, "id", None))
+                              for t in types)
+    return caught
+
+
+def test_every_error_subclass_is_caught_by_name():
+    # a fault that no code tells apart by its class is a PdmError whose
+    # message says which fault it is
+    subclasses = {name for name, cls in vars(errors).items()
+                  if isinstance(cls, type) and issubclass(cls, errors.PdmError)
+                  and cls is not errors.PdmError}
+    uncaught = sorted(subclasses - _caught_names())
+    assert not uncaught
 
 
 _ = object()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pdmham.catalog import CATALOG
-from pdmham.errors import (CartesianSingularity, NonZeroN, UnknownFamily)
+from pdmham.errors import PdmError
 from pdmham.families import (euclidean_potential, flat_twin, hamiltonian,
                              kinetic, potential, twin_box)
 from pdmham.observables import family_integrals
@@ -102,13 +102,13 @@ def test_euclidean_potential_anchors():
 
 
 def test_euclidean_potential_guards():
-    with pytest.raises(CartesianSingularity):
+    with pytest.raises(PdmError, match="^axis point$"):
         euclidean_potential("a", (1.0, 1.0, 1.0), 0.0, 1.0)
-    with pytest.raises(CartesianSingularity):
+    with pytest.raises(PdmError, match="^x = 0$"):
         euclidean_potential("b", (1.0, 1.0, 1.0), 0.0, 1.0)
-    with pytest.raises(CartesianSingularity):
+    with pytest.raises(PdmError, match="^origin or y = 0$"):
         euclidean_potential("c", (1.0, 1.0, 1.0), 1.0, 0.0)
-    with pytest.raises(CartesianSingularity):
+    with pytest.raises(PdmError, match="^origin$"):
         euclidean_potential("d", (1.0, 1.0, 1.0), 0.0, 0.0)
     with pytest.raises(ValueError):
         euclidean_potential("q", (1.0, 1.0, 1.0), 1.0, 1.0)
@@ -141,13 +141,16 @@ def test_flat_plane_twins(family, tag):
 
 def test_equivalence_requires_n_zero():
     params = ModelParams("na", 2.0, 1.0, 0.5, 0.2)
-    with pytest.raises(NonZeroN):
+    with pytest.raises(PdmError, match=r"^n = 2\.0, reduction defined at "
+                       r"n = 0$"):
         flat_twin(params, 1.0, 0.7, 0.0, 0.0)
 
 
 def test_equivalence_map_unknown_family():
     params = ModelParams("nc", 0.0, 1.0, 0.5, 0.2)
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(PdmError,
+                       match="^nc has no flat-plane reduction map$"):
         flat_twin(params, 1.0, 0.7, 0.0, 0.0)
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(PdmError,
+                       match="^nc has no flat-plane reduction map$"):
         twin_box(params, 0)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import variant_jd2, variant_jd3
+from oracles import KINETIC, variant_jd2, variant_jd3
 from pdmham import formulas
 from pdmham.catalog import CATALOG, lookup
-from pdmham.errors import UnknownFamily, UnknownIntegral
-from pdmham.families import kinetic
+from pdmham.errors import PdmError
+from pdmham.families import kinetic, potential
 from pdmham.formulas import a_components, m_components, n_double, n_single
 from pdmham.observables import family_integrals, integral
 from pdmham.phase import DomainBox, ModelParams, PhasePoint, sample_points
@@ -27,23 +27,24 @@ def test_registry_counts():
 
 
 def test_registry_errors():
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(PdmError, match="^unknown family 'nx'$"):
         family_integrals("nx")
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(PdmError, match="^unknown family 'nx'$"):
         integral("nx", "J1")
-    with pytest.raises(UnknownIntegral):
+    with pytest.raises(PdmError, match="^nd does not bind 'J1'$"):
         integral("nd", "J1")
 
 
-def test_h_and_t_available_everywhere():
+def test_h_is_t_plus_u_for_every_family():
+    # H is available for every family; T is not an integral it binds
     for family in CATALOG:
         params = ModelParams(family, 2.0, 0.5, 0.2, 0.1)
         h = integral(family, "H")
-        t = integral(family, "T")
         pt = (1.2, 0.8, 0.4, -0.6)
-        assert h(params, *pt) >= t(params, *pt) - 1e-12 or True
-        assert t(params, *pt) == pytest.approx(
-            kinetic(2.0, 1.2, 0.4, -0.6))
+        assert h(params, *pt) == pytest.approx(
+            kinetic(2.0, 1.2, 0.4, -0.6) + potential(params, 1.2, 0.8))
+        with pytest.raises(PdmError, match=f"^{family} does not bind 'T'$"):
+            integral(family, "T")
 
 
 def test_certified_jd2_anchor_differs_from_variant():
@@ -122,7 +123,7 @@ def test_kinetic_noether_identity_pointwise():
     # T = (P1^2 + P2^2)/2 for every family and point
     for family in CATALOG:
         params = ModelParams(family, 3.0, 1.0, 0.5, 0.2)
-        t = integral(family, "T")
+        t = KINETIC
         for pt in sample_points(params, DomainBox(seed=4), 25):
             p1 = integral("geodesic", "P1")
             p2 = integral("geodesic", "P2")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gradient
+from oracles import KINETIC, gradient
 from pdmham import tracing
 from pdmham.brackets import poisson_bracket, row_bracket, scaled_residual
 from pdmham.catalog import CATALOG
@@ -112,8 +112,8 @@ def _row_functions(params):
     of each complex factor."""
     fam = CATALOG[params.family]
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    plain = [integral(params.family, name)
-             for name in ("H", "T") + fam.integrals]
+    plain = [integral(params.family, "H"), KINETIC] + [
+        integral(params.family, name) for name in fam.integrals]
     out = [(params, fn, False) for fn in plain]
     out += [(params, corruption(obs, params, part), True)
             for obs in fam.bound for part in ("momentum", "radial")]
