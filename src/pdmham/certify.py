@@ -8,19 +8,25 @@ identities, complex evolution laws, a negative-control corruption probe,
 and one trajectory drift check.
 
 Every check but the drift runs on traces of the catalog's own functions
-(`tracing`): gradient rows, identity pairs, law rates, algebra targets and
-their sin, cos and pow, each once per certificate on the float64 columns
-of the draws (`_Columns`); `_worst` reduces each residual array and
-refuses a NaN or an infinity; a Gram determinant spares the rank check's
-SVD the clear points.  Every residual is deterministic given (params,
-sample seed, integrator config) and equals its point-by-point oracle bit
-for bit.
+(`tracing`): gradient rows, identity pairs, law rates and algebra
+targets, on the float64 columns of the draws (`_Columns`).  A
+certificate lists every row its checks read (`_plan`) and runs them as
+one merged trace (`_merged`), so each distinct line, sin, cos and pow
+runs once per certificate.  A row it did not list, a public check called
+alone, or a merged run numpy flags runs each row's own trace instead,
+with the same floats.  `_worst` reduces each residual array and refuses
+a NaN or an infinity; a Gram determinant in column arithmetic spares the
+rank check's SVD the clear points.  Every residual is deterministic given
+(params, sample seed, integrator config) and equals its point-by-point
+oracle bit for bit.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
 """
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,8 +42,9 @@ from .formulas import kinetic_noether
 from .observables import (corruption, corruption_parts, family_integrals,
                           integral)
 from .phase import PhasePoint, SampleConfig, sample_draws
-from .tracing import (elementwise, gradient_row, identity_pairs,
-                      monitor_terms, monitors, on_columns, value_row)
+from .tracing import (_row, compile_traced, elementwise, gradient_row,
+                      identity_pairs, monitor_terms, monitors, on_columns,
+                      value_row)
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -97,15 +104,15 @@ class Certificate:
 
 
 class _Columns:
-    """Sample points as an (N, 4) float64 array `draws`, its four columns,
-    and memos of the gradient rows and element-wise maps evaluated on them.
-    A PhasePoint is built where one is read."""
+    """Sample points as an (N, 4) float64 array `draws` and its four
+    columns, with a memo of the traces read on them (`read`), which
+    `prefetch` fills from one merged trace.  A PhasePoint is built where
+    one is read."""
 
     def __init__(self, draws):
         self.draws = draws
         self.r, self.phi, self.p_r, self.p_phi = draws.T
-        self._rows = {}
-        self._maps = {}
+        self.memo = {}
 
     def __len__(self):
         return len(self.draws)
@@ -115,24 +122,88 @@ class _Columns:
             return [PhasePoint(*d) for d in self.draws[i].tolist()]
         return PhasePoint(*self.draws[i].tolist())
 
-    def map(self, fn, *args):
-        """`tracing.elementwise` on these columns, once per function and
-        argument bytes, so the traces on them share their sin, cos and pow."""
-        key = (fn,) + tuple(np.asarray(a, float).tobytes() for a in args)
-        if key not in self._maps:
-            self._maps[key] = elementwise(fn, *args)
-        return self._maps[key]
-
-    def evaluate(self, trace):
-        """`tracing.on_columns` of a trace compiled with `columns`."""
-        return on_columns(trace, self.draws, self.map)
+    def read(self, kind, params, fn):
+        """The columns of the trace `kind(params, fn)`, where `kind` is
+        `gradient_row`, `identity_pairs` or `value_row`, once per key:
+        prefetched, or run on its own (`tracing.on_columns`)."""
+        key = (kind, params, fn)
+        if key not in self.memo:
+            self.memo[key] = on_columns(kind(params, fn), self.draws)
+        return self.memo[key]
 
     def row(self, params, fn):
-        """`tracing.gradient_row` on the columns, once per key."""
-        key = (params, fn)
-        if key not in self._rows:
-            self._rows[key] = self.evaluate(gradient_row(params, fn))
-        return self._rows[key]
+        """The columns of `tracing.gradient_row(params, fn)`."""
+        return self.read(gradient_row, params, fn)
+
+    def prefetch(self, keys):
+        """Memo the columns of every `read` key in `keys` from one run of
+        their merged trace (`_merged`), which computes each distinct line,
+        sin, cos and pow once.  Where numpy flags that run (an overflow, a
+        0 divide or a NaN) it raises, and no key is memoed: each trace then
+        runs on its own where it is read, flagging as it would."""
+        trace, sizes = _merged(keys)
+        with np.errstate(all="raise", under="ignore"):
+            flat = trace(*self.draws.T)
+        # read-only float64 columns, as `on_columns` returns a trace's
+        cols = []
+        for col in flat:
+            if isinstance(col, float):
+                col = np.broadcast_to(col, self.draws.shape[:1])
+            else:
+                col.flags.writeable = False
+            cols.append(col)
+        cols = iter(cols)
+        for key, size in zip(keys, sizes):
+            self.memo[key] = tuple(itertools.islice(cols, size))
+
+
+# what each trace kind of `tracing` records, so that the merged trace
+# records the same operations
+_RECORD = {gradient_row: lambda params, fn, *y: _row(fn, params, *y),
+           identity_pairs: lambda params, fn, *y: sum(fn(params, *y), ()),
+           value_row: lambda params, fn, *y: (fn(params, *y),)}
+
+
+@functools.lru_cache(maxsize=64)
+def _merged(keys):
+    """One trace for columns of every (kind, params, fn) in `keys`, as
+    `_RECORD` records them on one tape, and the number of outputs of each
+    key.  A line two keys share is computed once; the floats are those of
+    each key's own trace."""
+    sizes = []
+
+    def record(*y):
+        out = ()
+        for kind, params, fn in keys:
+            part = _RECORD[kind](params, fn, *y)
+            sizes.append(len(part))
+            out += part
+        return out
+    trace = compile_traced(record, f"certificate {keys[0][1]}", columns=True)
+    return trace, tuple(sizes)
+
+
+def _plan(params, points):
+    """Every `read` key the checks of `certificate` read on `points`, from
+    the family's record: gradient rows of H and the bound integrals, the
+    Killing parts, law parts, conserved-product parts and corrupted
+    integrals, then identity pairs, law rates and algebra targets."""
+    fam = lookup(params.family)
+    h = integral(params.family, "H")
+    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
+    quadratics = tuple(obs for obs in fam.bound if obs.degree == 2)
+    rows = [(params, f) for f in (h,) + fam.bound]
+    if quadratics:
+        rows += [(zeroed, f) for f in (h,) + quadratics]
+    rows += [(params, part) for _, pair, _ in fam.laws for part in pair]
+    rows += [(params, part) for part in fam.conserved_product]
+    rows += [(params, f) for f in (_corrupted(obs, params, points)
+                                   for obs in fam.bound) if f is not None]
+    keys = [(gradient_row, p, f) for p, f in rows]
+    keys += [(identity_pairs, params, fn) for _, fn in _identities(fam)]
+    keys += [(value_row, params, rate) for _, _, rate in fam.laws]
+    keys += [(value_row, params, rhs) for _, _, _, rhs in fam.algebra]
+    return tuple(dict.fromkeys(keys))
 
 
 def _columns(params, sample, points=None):
@@ -181,11 +252,10 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     for obs in lookup(params.family).bound:
         f = obs
         if obs.name == corrupt:
-            part = _corruption_part(obs, params, points[:8])
-            if part is None:
+            f = _corrupted(obs, params, points)
+            if f is None:
                 raise ValueError(
                     f"corruption of single-term integral {obs.name} is inert")
-            f = corruption(obs, params, part)
         out[obs.name] = _worst(f"bracket:{obs.name}", _residuals(
             params, f, points), points)
     return out
@@ -233,12 +303,25 @@ def _rank_failures(partials):
     rank, as one SVD of the stack gives them (it raises on a NaN).  As
     lam_min / lam_max >= det G / tr(G)^k for G = P P^T (P scaled by its
     largest entry, so G cannot underflow), det(G / tr G) > 1e-10 clears P
-    at sigma_min / sigma_max > 1e-5; only the rest go to the SVD."""
+    at sigma_min / sigma_max > 1e-5; only the rest go to the SVD.  G and
+    its determinant are column arithmetic over the stack: the lower
+    triangle of G, then elimination without pivoting, the product of whose
+    pivots is det G (a zero or NaN pivot clears nothing)."""
+    k = partials.shape[1]
     with np.errstate(all="ignore"):
-        unit = partials / abs(partials).max(axis=(1, 2), keepdims=True)
-        gram = np.einsum("nik,njk->nij", unit, unit)
-        rest = np.flatnonzero(~(np.linalg.det(gram / np.trace(
-            gram, axis1=1, axis2=2)[:, None, None]) > 1e-10))
+        # (k, 4, N): unit[i][c] is entry (i, c) of every scaled P
+        unit = partials.transpose(1, 2, 0) / abs(partials).max(axis=(1, 2))
+        g = [[(unit[i] * unit[j]).sum(0) for j in range(i + 1)]
+             for i in range(k)]
+        trace = sum(g[i][i] for i in range(k))
+        det = 1.0
+        for p in range(k):
+            det = det * (g[p][p] / trace)
+            for i in range(p + 1, k):
+                f = g[i][p] / g[p][p]
+                for j in range(p + 1, i + 1):
+                    g[i][j] = g[i][j] - f * g[j][p]
+        rest = np.flatnonzero(~(det > 1e-10))
     sv = np.linalg.svd(partials[rest], compute_uv=False)
     full = ((sv[:, 0] != 0.0) & (np.sum(sv > RANK_REL_THRESHOLD * sv[:, :1],
                                         axis=1) == partials.shape[1]))
@@ -282,15 +365,18 @@ def identity_residual(params, name, fn, points):
         for pt in points]), points)
 
 
+def _identities(fam):
+    """(name, fn) of the kinetic-Noether identity, then of the family's."""
+    return (("kinetic_noether", kinetic_noether),) + fam.identities
+
+
 def identity_suite(params, sample, points=None):
     """Worst `_rel` gap of the kinetic-Noether identity, then of each of
     the family's own, as one trace on the columns (`identity_pairs`)."""
     points = _columns(params, sample, points)
-    identities = ((("kinetic_noether", kinetic_noether),)
-                  + lookup(params.family).identities)
     out = {}
-    for name, fn in identities:
-        flat = points.evaluate(identity_pairs(params, fn))
+    for name, fn in _identities(lookup(params.family)):
+        flat = points.read(identity_pairs, params, fn)
         # (points, pairs): `_worst` names a point's first pair first
         out[name] = _worst(f"identity:{name}", np.stack(
             [_rel(*pair) for pair in zip(flat[::2], flat[1::2])], 1), points)
@@ -307,7 +393,7 @@ def algebra_check(params, sample, points=None):
     for name, a, b, rhs in lookup(params.family).algebra:
         fa = points.row(params, integral(params.family, a))
         fb = points.row(params, integral(params.family, b))
-        target, = points.evaluate(value_row(params, rhs))
+        target, = points.read(value_row, params, rhs)
         out[name] = _worst(f"algebra:{name}", abs(
             row_bracket(fa, fb) - target) / bracket_scale(
             fa[0], fb[0], points), points)
@@ -330,8 +416,8 @@ def evolution_law_check(params, sample, points=None):
     out = {}
     for label, (re, im), rate in fam.laws:
         zr, zi = points.row(params, re), points.row(params, im)
-        c, = points.evaluate(value_row(params, rate))
-        scale = bracket_scale(points.map(math.hypot, zr[0], zi[0]), h[0],
+        c, = points.read(value_row, params, rate)
+        scale = bracket_scale(elementwise(math.hypot, zr[0], zi[0]), h[0],
                               points)
         # {Z,H} = i c Z componentwise: {Re,H} = -c Im, {Im,H} = +c Re;
         # each point's Re residual, then its Im residual
@@ -365,6 +451,16 @@ def _corruption_part(obs, params, probe_points):
     return None
 
 
+def _corrupted(obs, params, points):
+    """`obs` corrupted in the part `_corruption_part` picks on the first 8
+    of the `_Columns` points, or None where it is inert; once per key."""
+    key = (_corruption_part, params, obs)
+    if key not in points.memo:
+        part = _corruption_part(obs, params, points[:8])
+        points.memo[key] = part and corruption(obs, params, part)
+    return points.memo[key]
+
+
 def corruption_suite(params, sample, points=None):
     """Max scaled residual of each corrupted integral; the harness is
     sensitive when every non-inert corruption lands well above tolerance."""
@@ -372,11 +468,11 @@ def corruption_suite(params, sample, points=None):
     results = {}
     inert = []
     for obs in lookup(params.family).bound:
-        part = _corruption_part(obs, params, points[:8])
-        if part is None:
+        f = _corrupted(obs, params, points)
+        if f is None:
             inert.append(obs.name)
             continue
-        res = _residuals(params, corruption(obs, params, part), points)
+        res = _residuals(params, f, points)
         results[obs.name] = _worst(f"negative_control:{obs.name}", res,
                                    points)
     return results, tuple(inert)
@@ -415,6 +511,10 @@ def certificate(params, sample=None, config=None, corrupt=None):
     sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
     points = _columns(params, sample)
+    # a prefetch only: a key it could not give is traced on its own where
+    # a check reads it, and raises there as it would
+    with contextlib.suppress(ArithmeticError, ValueError, TypeError):
+        points.prefetch(_plan(params, points))
     try:
         _require_finite(params, points)
         checks = tuple(_checks(params, sample, config, points, corrupt))

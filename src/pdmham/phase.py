@@ -121,7 +121,12 @@ def check_point(point, params, phi_margin=POLE_MARGIN):
             raise PdmError(f"{name} must be finite, got {value}")
     if point.r <= 0.0:
         raise PdmError(f"r = {point.r}")
-    d = singular_distance(params.family, params.n, point.phi)
+    try:
+        d = singular_distance(params.family, params.n, point.phi)
+    except ValueError:
+        # math.remainder refuses an infinite k_n*phi
+        raise PdmError(f"k_n*phi = (n - 1)*phi overflows at n = {params.n}"
+                       ) from None
     if d <= phi_margin:
         raise PdmError(
             f"k_n*phi within {phi_margin} of an angular pole (distance {d:.3e})")
@@ -154,7 +159,7 @@ def sample_draws(params, box, count):
         draws = rng.uniform(low, high, size=(size, 4))
         try:
             new = draws[_valid(params, draws, box.phi_margin)]
-        except ValueError:
+        except PdmError:
             # check_point raises on an infinite k_n*phi once it gets there
             new = np.reshape(list(itertools.islice((d for d in draws if _valid(
                 params, d[None], box.phi_margin)[0]), count - len(kept))),
@@ -166,13 +171,13 @@ def sample_draws(params, box, count):
         f"{len(kept)}/{count} valid points after {rounds * size} draws")
 
 
-def _pole_distance(u):
+def _pole_distance(u, n):
     """abs(math.remainder(u, pi)) of each element, by the exact fold of
-    fmod (pi - a is exact for a >= pi/2); an infinity raises ValueError, as
-    math.remainder does."""
+    fmod (pi - a is exact for a >= pi/2); an infinity, which
+    math.remainder refuses, raises the PdmError of `check_point` at n."""
     import numpy as np
     if np.isinf(u).any():
-        raise ValueError("math domain error")
+        raise PdmError(f"k_n*phi = (n - 1)*phi overflows at n = {n}")
     a = np.abs(np.fmod(u, math.pi))
     return np.where(a > _HALF_PI, math.pi - a, a)
 
@@ -187,7 +192,7 @@ def _valid(params, draws, phi_margin):
         far = np.ones(len(u), bool)
         for kind in CATALOG[params.family].poles:
             offset = 0.0 if kind == "sin" else _HALF_PI
-            far &= _pole_distance(u - offset) > phi_margin
+            far &= _pole_distance(u - offset, params.n) > phi_margin
     ok[ok] = far
     return ok
 

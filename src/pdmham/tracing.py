@@ -25,8 +25,8 @@ F, as in the monitor row, because the value part of a dual can differ
 from the float path by an ulp; the partials come from the tangents of one
 seeded dual pass.  On float64 columns, rows and identity pairs give their
 floats point by point: numpy's `+ - * / abs` round as Python's; `sin`,
-`cos` and `**` map math's (`maps`, one memo per certificate), as numpy's
-own can be an ulp off.
+`cos` and `**` map math's (`elementwise`), as numpy's own can be an ulp
+off.
 
 `Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
 all the formulas and `Dual` take.  It has no truth value and no
@@ -48,26 +48,39 @@ _GLOBALS = {"sin": math.sin, "cos": math.cos, "inf": math.inf,
 
 
 def elementwise(fn, *args):
-    """fn on floats, or mapped over the elements of float64 columns."""
+    """fn on floats, or mapped over the elements of float64 columns, a
+    float argument repeating."""
     import numpy as np
-    if not any(isinstance(a, np.ndarray) for a in args):
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    if not arrays:
         return fn(*args)
-    cols = [c.tolist() for c in np.broadcast_arrays(*args)]
-    return np.fromiter(map(fn, *cols), float, len(cols[0]))
+    import itertools
+    cols = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+            for a in args]
+    return np.fromiter(map(fn, *cols), float, len(arrays[0]))
 
 
-def on_columns(trace, rows, maps=elementwise):
+def on_columns(trace, rows):
     """A trace compiled with `columns` on the columns of the (N, 4) array
     `rows`.  Where numpy flags an overflow, a 0 divide or a NaN, or sin, cos
-    or pow raise or give a non-float, it reruns row by row, raising so."""
+    or pow raise or give a non-float, it reruns row by row, raising so.
+    Each output is a read-only float64 column: an array as it came, a
+    constant or a row-by-row tuple broadcast."""
     import numpy as np
     try:
         with np.errstate(all="raise", under="ignore"):
-            out = trace(*rows.T, maps)
+            out = trace(*rows.T)
     except (ArithmeticError, ValueError, TypeError):
         out = zip(*(trace(*row) for row in rows.tolist()))
-    return tuple(np.broadcast_to(np.asarray(col, dtype=float), rows.shape[:1])
-                 for col in out)
+    full = rows.shape[:1]
+    cols = []
+    for col in out:
+        if isinstance(col, np.ndarray):
+            col.flags.writeable = False
+        else:
+            col = np.broadcast_to(np.asarray(col, dtype=float), full)
+        cols.append(col)
+    return tuple(cols)
 
 
 def _atom(x):
@@ -172,7 +185,9 @@ def compile_traced(fn, label, columns=False):
     of the same four coordinates that returns the same tuple of floats.
     It is compiled under the file name `<traced label>`, so profiles list
     each trace on its own.  With `columns`, it calls `sin`, `cos` and `**`
-    through a fifth argument, `maps`, `elementwise` or one like it."""
+    through a fifth argument, `maps`, `elementwise` or one like it, and
+    deletes each local after its last read, so that a long trace holds
+    only the column temporaries it will still read."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
@@ -183,6 +198,10 @@ def compile_traced(fn, label, columns=False):
                 expr = "maps(pow, {}, {})".format(*expr.split(" ** "))
             elif columns and expr[:4] in ("sin(", "cos("):
                 expr = f"maps({expr[:3]}, {expr[4:]}"
+            # on columns, an operand's array is freed after its last read
+            dead = columns and sorted(set(sym.operands) - live - set(_COORDS))
+            if dead:
+                body.append(f"    del {', '.join(dead)}")
             body.append(f"    {sym.name} = {expr}")
             live.update(sym.operands)
     head = f"def traced({', '.join(_COORDS)}{', maps=elementwise' * columns}):"

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdmham import tracing
+from pdmham import certify, tracing
 from pdmham.brackets import row_bracket
 from pdmham.catalog import CATALOG, lookup
 from pdmham.certify import (RANK_REL_THRESHOLD, SampleConfig, _Columns,
@@ -24,7 +26,8 @@ from pdmham.dynamics import IntegratorConfig
 from pdmham.observables import corruption, integral
 from pdmham.phase import (DomainBox, ModelParams, PhasePoint, sample_draws,
                           sample_points)
-from pdmham.tracing import gradient_row, identity_pairs, monitors, value_row
+from pdmham.tracing import (gradient_row, identity_pairs, monitors,
+                             on_columns, value_row)
 
 COUPLINGS = (1.0, 0.6, 0.35)
 
@@ -227,6 +230,47 @@ def test_rank_screen_agrees_with_one_svd_of_the_stack(k):
             rule(stack)
 
 
+# the singular values a drawn (k, 4) matrix is built with: the rank
+# rule's edge at 1e-8 and the screen's at 1e-5, a zero and a subnormal one
+_RATIOS = (0.0, 5e-324, 1e-300, 1e-12, 1e-8 * (1 - 1e-6), 1e-8 * (1 + 1e-6),
+           1e-6, 1e-5 * (1 - 1e-6), 1e-5 * (1 + 1e-6), 1e-3, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.tuples(st.sampled_from(_RATIOS), st.integers(1, 3),
+                                st.floats(-300.0, 300.0)),
+                      min_size=1, max_size=12),
+       bad=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3),
+                              st.integers(0, 3), st.sampled_from(
+                                  [math.nan, math.inf, -math.inf])),
+                    max_size=2))
+def test_rank_screen_failures_are_those_of_a_full_svd(k, seed, drawn, bad):
+    # each matrix loses `lost` singular values to `ratio` times the
+    # largest, scaled by 10**exponent (1e-300 to 1e300), and may hold a
+    # NaN or an infinity: the screen's failures are the full SVD's, bit
+    # for bit, and where the full SVD raises, the screen raises too
+    rng = np.random.default_rng(seed)
+    stack = []
+    for ratio, lost, exponent in drawn:
+        sv = [1.0] * max(1, k - lost) + [ratio] * min(lost, k - 1)
+        u = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(4, k)))[0]
+        with np.errstate(all="ignore"):
+            stack.append((u * sv) @ v.T * 10.0 ** exponent)
+    stack = np.array(stack)
+    for i, row, col, value in bad:
+        stack[i % len(stack), row % k, col] = value
+    try:
+        want = _stack_svd_failures(stack)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _rank_failures(stack)
+        return
+    got = [(i, np.array(sv).tobytes()) for i, sv in _rank_failures(stack)]
+    assert got == want
+
+
 @pytest.mark.parametrize("family,n", [("nc1", 3.0), ("nd", 0.5),
                                       ("na", -1.0)])
 def test_columns_from_draws_are_the_sampled_points(family, n):
@@ -264,11 +308,11 @@ def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
     cols = _columns(params, None, points)
     fam = lookup(family)
     for _, _, rate in fam.laws:
-        col, = cols.evaluate(value_row(params, rate))
+        col, = cols.read(value_row, params, rate)
         assert col.tobytes() == struct.pack(
             "300d", *(rate(params, *pt.as_tuple()) for pt in points))
     for _, _, _, rhs in fam.algebra:
-        col, = cols.evaluate(value_row(params, rhs))
+        col, = cols.read(value_row, params, rhs)
         assert col.tobytes() == struct.pack(
             "300d", *(rhs(params, *pt.as_tuple()) for pt in points))
     h = gradient_row(params, integral(family, "H"))
@@ -358,6 +402,7 @@ def test_a_second_certificate_at_equal_params_compiles_no_trace(
         return real(fn, label, columns)
 
     monkeypatch.setattr(tracing, "compile_traced", counting)
+    monkeypatch.setattr(certify, "compile_traced", counting)
     assert certificate(params, sample, config) == first
     assert labels == []
 
@@ -406,6 +451,99 @@ def test_plain_point_lists_give_the_certificate_checks(family):
     assert (results, inert) == corruption_suite(params, sample, cols)
     assert involution_check(params, sample=sample, points=points) == \
         involution_check(params, sample=sample, points=cols)
+
+
+def _bits(residual):
+    return None if residual is None else struct.pack("d", residual)
+
+
+def _alone(params, sample):
+    """{check name: residual} of the certificate's columnar checks, each
+    from its public check called alone on fresh columns of the same draws,
+    where every row is traced on its own; and the corruption suite's
+    residuals."""
+    def fresh():
+        return _Columns(sample_draws(params, sample.box, sample.count))
+
+    fam = lookup(params.family)
+    out = {f"bracket:{name}": res for name, res in bracket_residual_suite(
+        params, sample, fresh()).items()}
+    if fam.commuting:
+        pair = ",".join(fam.commuting)
+        out[f"involution:{pair}"] = involution_check(
+            params, [fam.commuting], points=fresh())[pair]
+    fraction, _ = independence_stats(params, sample, fam.triple, fresh())
+    out["independence:" + ",".join(fam.triple)] = 1.0 - fraction
+    try:
+        out["killing_tensor"] = killing_tensor_check(params, sample, fresh())
+    except NoQuadraticIntegral:
+        out["killing_tensor"] = None
+    for prefix, suite in (("identity", identity_suite),
+                          ("algebra", algebra_check),
+                          ("evolution", evolution_law_check)):
+        out.update((f"{prefix}:{name}", res)
+                   for name, res in suite(params, sample, fresh()).items())
+    results, _ = corruption_suite(params, sample, fresh())
+    out["negative_control"] = min(results.values(), default=None)
+    return out, {name: bracket_residual_suite(
+        params, sample, fresh(), corrupt=name)[name] for name in results}
+
+
+def _traced_alone(*_):
+    raise AssertionError("a row was traced on its own")
+
+
+@pytest.mark.parametrize("family,n", [(family, n)
+                                      for family in sorted(CATALOG)
+                                      for n in (-1.0, 0.5, 2.0, 3.0)])
+def test_public_checks_alone_give_the_certificates_residuals(family, n,
+                                                             monkeypatch):
+    # the certificate reads every row of its checks from one merged trace
+    # and traces none on its own; each public check called alone traces
+    # its rows one by one, and gives the certificate's residual bit for
+    # bit, with and without the corruption of each non-inert integral
+    params = ModelParams(family, n, 0.5, 0.25, 0.125)
+    sample, config = SampleConfig(), IntegratorConfig(t_end=1.0)
+    want, corrupted = _alone(params, sample)
+    assert set(corrupted) or family == "geodesic"
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "on_columns", _traced_alone)
+        cert = certificate(params, sample, config)
+        got = {c.name: _bits(c.max_residual) for c in cert.checks}
+        assert got.pop("drift") is not None
+        assert got == {name: _bits(res) for name, res in want.items()}
+        for name, res in corrupted.items():
+            bad = certificate(params, sample, config, corrupt=name)
+            check = f"bracket:{name}"
+            assert _bits(_check(bad, check).max_residual) == _bits(res)
+            assert [c for c in bad.checks if c.name != check] == [
+                c for c in cert.checks if c.name != check]
+
+
+@pytest.mark.parametrize("family,couplings,message", [
+    ("nc", (1e308, 0.25, 0.125),
+     "H is inf at the sample point (r, phi, p_r, p_phi) = "
+     "(1.8147263462160557, 0.4121370122778603, -0.6555317578173585, "
+     "-1.3988821324206437)"),
+    ("na_prime", (1e154, 0.25, 0.125),
+     "algebra:bracket_j2 residual is nan at the sample point (r, phi, p_r, "
+     "p_phi) = (1.7199053588004087, 5.69373687446983, 0.42654310306871945, "
+     "0.9179862439359936)"),
+    ("nd", (1e200, 1e200, 0.1),
+     "a check overflows at these couplings: Numerical result out of range"),
+])
+def test_a_flagged_merged_run_falls_back_to_each_rows_trace(
+        family, couplings, message, monkeypatch):
+    # numpy flags the merged trace at these couplings: every row is then
+    # traced on its own, and the certificate raises as each row's own
+    # trace makes it
+    alone = []
+    monkeypatch.setattr(certify, "on_columns", lambda *args: alone.append(
+        args[0]) or on_columns(*args))
+    with pytest.raises(PdmError) as exc:
+        certificate(ModelParams(family, 2.0, *couplings), SampleConfig())
+    assert str(exc.value) == message
+    assert alone
 
 
 def _scale(f_val, g_val, pt):
@@ -520,7 +658,7 @@ def test_identity_suite_equals_a_pointwise_rel_loop(family, n):
     suite = identity_suite(params, None, points)
     assert list(suite) == [name for name, _ in _identities(family)]
     for name, fn in _identities(family):
-        flat = cols.evaluate(identity_pairs(params, fn))
+        flat = cols.read(identity_pairs, params, fn)
         want = [v for pt in points for pair in fn(params, *pt.as_tuple())
                 for v in pair]
         assert np.stack(flat, 1).tobytes() == struct.pack(

@@ -355,6 +355,8 @@ def test_no_subcommand_is_usage_error():
        "--out", "{tmp}/traj.csv", flag, value]
       for flag, value in (("--t-end", "inf"), ("--rtol", "nan"),
                           ("--atol", "inf"))),
+    # k_n*phi overflows at every draw past phi = 1.8: the PdmError names n
+    ["check", "--family", "na", "--n", "1e308"],
 ])
 def test_input_errors_exit_2_without_traceback(argv, tmp_path):
     argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)

@@ -133,7 +133,10 @@ def _reference_sample(params, box, count):
             candidate = PhasePoint(*draw)
             try:
                 check_point(candidate, params, box.phi_margin)
-            except PdmError:
+            except PdmError as exc:
+                # an n whose k_n*phi overflows ends the sample
+                if str(exc).startswith("k_n*phi = (n - 1)*phi overflows"):
+                    raise
                 continue
             points.append(candidate)
             if len(points) == count:
@@ -184,11 +187,16 @@ def test_sampling_equals_a_check_point_filter(family, n, margin, seed,
 def test_sampling_matches_check_point_where_k_n_phi_overflows(family, n,
                                                               count):
     # math.remainder refuses an infinite k_n*phi: a round that holds one
-    # is checked point by point, so a sample complete before it returns
+    # is checked point by point, so a sample complete before it returns;
+    # with poles, one that is not raises the PdmError naming n that
+    # check_point raises
     params = ModelParams(family, n)
     for seed in range(4):
         box = DomainBox(seed=seed)
         assert _sampled(params, box, count) == _outcome(params, box, count)
+    if CATALOG[family].poles:
+        assert _sampled(params, DomainBox(), 10 ** 4) == (
+            PdmError, f"k_n*phi = (n - 1)*phi overflows at n = {n}")
 
 
 def test_pole_distance_is_the_remainder_of_pi():
@@ -202,13 +210,20 @@ def test_pole_distance_is_the_remainder_of_pi():
     u += [-0.0, 0.0, 1e300, -1e300, math.pi, -math.pi]
     u += (np.sign(wide) * 10.0 ** np.abs(wide)).tolist()
     want = [abs(math.remainder(x, math.pi)) for x in u]
-    assert _pole_distance(np.array(u)).tobytes() == np.array(want).tobytes()
+    assert _pole_distance(np.array(u), 2.0).tobytes() == np.array(
+        want).tobytes()
+    # an infinity, which math.remainder refuses, raises the PdmError that
+    # check_point raises at the same n
     for bad in (math.inf, -math.inf):
-        with pytest.raises(ValueError) as ours, np.errstate(all="ignore"):
-            _pole_distance(np.array([1.0, bad]))
-        with pytest.raises(ValueError) as libm:
+        with pytest.raises(PdmError) as ours, np.errstate(all="ignore"):
+            _pole_distance(np.array([1.0, bad]), 1e308)
+        with pytest.raises(ValueError):
             math.remainder(bad, math.pi)
-        assert str(ours.value) == str(libm.value)
+        with pytest.raises(PdmError) as point:
+            check_point(PhasePoint(1.0, math.copysign(2.0, bad), 0.0, 0.0),
+                        ModelParams("na", 1e308))
+        assert str(ours.value) == str(point.value) == (
+            "k_n*phi = (n - 1)*phi overflows at n = 1e+308")
 
 
 # At n = 0 (k = -1) the flat chart of the closed-form tests is the polar to

@@ -136,20 +136,23 @@ def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
     params = ModelParams(family, n, 0.7, 0.3, -0.2)
     points = sample_points(params, DomainBox(seed=6), 200)
     columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
-    # one memo of sin, cos and pow for every row, as a certificate has
-    maps = _columns(params, None, points).map
+    # and one merged trace of every row, as a certificate runs them,
+    # gives each row's columns too (it raises where numpy flags)
+    cols = _columns(params, None, points)
+    cols.prefetch(tuple(dict.fromkeys(
+        (gradient_row, row_params, key)
+        for row_params, key, _ in _row_functions(params))))
     for row_params, key, _ in _row_functions(params):
         row = gradient_row(row_params, key)
         with np.errstate(all="raise", under="ignore"):
             got = row(*columns)
-            shared = row(*columns, maps)
+        merged = cols.memo[gradient_row, row_params, key]
         want = zip(*(row(*pt.as_tuple()) for pt in points))
-        for column, memo, floats in zip(got, shared, want):
+        for column, shared, floats in zip(got, merged, want):
             column = np.broadcast_to(np.asarray(column, float), len(points))
             assert column.tobytes() == struct.pack(
                 f"{len(points)}d", *floats), key
-            assert np.broadcast_to(memo, len(points)).tobytes() == \
-                column.tobytes(), key
+            assert shared.tobytes() == column.tobytes(), key
 
 
 @pytest.mark.parametrize("family,n", ROW_CASES)
