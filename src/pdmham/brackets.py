@@ -1,13 +1,13 @@
 """Canonical Poisson brackets of phase-space functions.
 
 Certificates bracket gradient rows (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi)
-traced once per function by `tracing.gradient_row`, as float64 columns over
-all sample points, combined by `row_bracket` and scaled by `bracket_scale`;
-both take floats or columns alike.  The dual path below (one forward
-dual-number pass per gradient, exact to roundoff) is their oracle: the row
-functions repeat its float operations in its order, so the two agree bit
-for bit.  The central-difference oracle of the cross-validation suite lives
-with the tests, in `tests/oracles.py`.
+that `tracing.column_trace` compiles from `gradient_row` keys, as float64
+columns over all sample points, combined by `row_bracket` and scaled by
+`bracket_scale`; both take floats or columns alike.  The dual path below
+(one forward dual-number pass per gradient, exact to roundoff) is their
+oracle: the row functions repeat its float operations in its order, so
+the two agree bit for bit.  The central-difference oracle of the
+cross-validation suite lives with the tests, in `tests/oracles.py`.
 """
 
 import numpy as np

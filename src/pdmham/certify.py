@@ -11,12 +11,13 @@ Every check but the drift runs on traces of the catalog's own functions
 (`tracing`): gradient rows, identity pairs, law rates and algebra
 targets, on the float64 columns of the draws (`_Columns`).  A
 certificate lists every row its checks read (`_plan`) and runs them as
-one merged trace (`_merged`), so each distinct line, sin, cos and pow
-runs once per certificate.  A row it did not list, a public check called
-alone, or a merged run numpy flags runs each row's own trace instead,
-with the same floats.  `_worst` reduces each residual array and refuses
-a NaN or an infinity; a Gram determinant in column arithmetic spares the
-rank check's SVD the clear points.  Every residual is deterministic given
+one merged trace (`tracing.column_trace` of every key), so each distinct
+line, sin, cos and pow runs once per certificate.  A row it did not
+list, a public check called alone, or a merged run numpy flags runs each
+row's own trace, the column trace of its key alone, with the same
+floats.  `_worst` reduces each residual array and refuses a NaN or an
+infinity; a Gram determinant in column arithmetic spares the rank
+check's SVD the clear points.  Every residual is deterministic given
 (params, sample seed, integrator config) and equals its point-by-point
 oracle bit for bit.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
@@ -25,7 +26,6 @@ was skipped or needs reading guidance), `verdict`.
 """
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -42,9 +42,9 @@ from .formulas import kinetic_noether
 from .observables import (corruption, corruption_parts, family_integrals,
                           integral)
 from .phase import PhasePoint, SampleConfig, sample_draws
-from .tracing import (_row, compile_traced, elementwise, gradient_row,
+from .tracing import (column_trace, elementwise, gradient_row,
                       identity_pairs, monitor_terms, monitors, on_columns,
-                      value_row)
+                      read_only, value_row)
 
 RANK_REL_THRESHOLD = 1e-8
 
@@ -123,64 +123,31 @@ class _Columns:
         return PhasePoint(*self.draws[i].tolist())
 
     def read(self, kind, params, fn):
-        """The columns of the trace `kind(params, fn)`, where `kind` is
+        """The columns of the key (kind, params, fn), where `kind` is
         `gradient_row`, `identity_pairs` or `value_row`, once per key:
-        prefetched, or run on its own (`tracing.on_columns`)."""
+        prefetched, or run on the key's own trace (`tracing.on_columns`)."""
         key = (kind, params, fn)
         if key not in self.memo:
-            self.memo[key] = on_columns(kind(params, fn), self.draws)
+            trace, _ = column_trace((key,))
+            self.memo[key] = on_columns(trace, self.draws)
         return self.memo[key]
 
     def row(self, params, fn):
-        """The columns of `tracing.gradient_row(params, fn)`."""
+        """The columns of the gradient row of `fn` at `params`."""
         return self.read(gradient_row, params, fn)
 
     def prefetch(self, keys):
         """Memo the columns of every `read` key in `keys` from one run of
-        their merged trace (`_merged`), which computes each distinct line,
-        sin, cos and pow once.  Where numpy flags that run (an overflow, a
-        0 divide or a NaN) it raises, and no key is memoed: each trace then
-        runs on its own where it is read, flagging as it would."""
-        trace, sizes = _merged(keys)
+        their merged trace (`tracing.column_trace`), which computes each
+        distinct line, sin, cos and pow once.  Where numpy flags that run
+        (an overflow, a 0 divide or a NaN) it raises, and no key is memoed:
+        each key's own trace then runs where it is read, flagging as it
+        would."""
+        trace, sizes = column_trace(keys)
         with np.errstate(all="raise", under="ignore"):
-            flat = trace(*self.draws.T)
-        # read-only float64 columns, as `on_columns` returns a trace's
-        cols = []
-        for col in flat:
-            if isinstance(col, float):
-                col = np.broadcast_to(col, self.draws.shape[:1])
-            else:
-                col.flags.writeable = False
-            cols.append(col)
-        cols = iter(cols)
+            cols = iter(read_only(trace(*self.draws.T), len(self)))
         for key, size in zip(keys, sizes):
             self.memo[key] = tuple(itertools.islice(cols, size))
-
-
-# what each trace kind of `tracing` records, so that the merged trace
-# records the same operations
-_RECORD = {gradient_row: lambda params, fn, *y: _row(fn, params, *y),
-           identity_pairs: lambda params, fn, *y: sum(fn(params, *y), ()),
-           value_row: lambda params, fn, *y: (fn(params, *y),)}
-
-
-@functools.lru_cache(maxsize=64)
-def _merged(keys):
-    """One trace for columns of every (kind, params, fn) in `keys`, as
-    `_RECORD` records them on one tape, and the number of outputs of each
-    key.  A line two keys share is computed once; the floats are those of
-    each key's own trace."""
-    sizes = []
-
-    def record(*y):
-        out = ()
-        for kind, params, fn in keys:
-            part = _RECORD[kind](params, fn, *y)
-            sizes.append(len(part))
-            out += part
-        return out
-    trace = compile_traced(record, f"certificate {keys[0][1]}", columns=True)
-    return trace, tuple(sizes)
 
 
 def _plan(params, points):

@@ -157,9 +157,28 @@ class Trajectory:
         return h[0], median, h[-1]
 
 
+# the components of the vector field, as messages name them
+_FIELD = ("dr/dt", "dphi/dt", "dp_r/dt", "dp_phi/dt")
+
+
 def hamilton_vector_field(params, point):
     """(dr/dt, dphi/dt, dp_r/dt, dp_phi/dt) = symplectic gradient of H."""
     return vector_field(params)(*point.as_tuple())
+
+
+def _at_start(what, row, names, y):
+    """row(*y) at the initial state y, where every value is finite: a
+    PdmError names the first that is not, or what `what` raised."""
+    try:
+        values = row(*y)
+        bad = [f"{name} is {v}" for name, v in zip(names, values)
+               if not isfinite(v)]
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise PdmError(f"{what} at the initial state: {exc}") from None
+    if bad:
+        raise PdmError(f"{bad[0]} at the initial state (r, phi, p_r, p_phi) "
+                       f"= {y}")
+    return values
 
 
 def _try_field(field, *y):
@@ -219,9 +238,11 @@ _step = _namespace["_step"]
 def integrate(params, initial, config=None):
     """Integrate Hamilton's equations from `initial`.
 
-    Never raises mid-run: early stops are reported through the trajectory's
-    termination tag (guard crossings as SingularityApproach, a collapsed
-    step size with finite values as StepFailure).
+    Refuses a start where the monitors or the vector field are not
+    finite, or raise.  Never raises mid-run: early stops are reported
+    through the trajectory's termination tag (guard crossings as
+    SingularityApproach, a collapsed step size with finite values as
+    StepFailure).
     """
     config = config or IntegratorConfig()
     check_point(initial, params)
@@ -243,11 +264,8 @@ def integrate(params, initial, config=None):
     times = [t]
     states = [y]
     # one flat list of monitor rows keeps per-step storage to the floats
-    try:
-        mon_values = list(monitor_row(*y))
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise PdmError(f"monitors at the initial state: {exc}") from None
-    k = _try_field(field, *y)
+    mon_values = list(_at_start("monitors", monitor_row, names, y))
+    k0, k1, k2, k3 = _at_start("vector field", field, _FIELD, y)
     n_evals = 1
     termination = COMPLETED
     n_accepted = 0
@@ -255,10 +273,6 @@ def integrate(params, initial, config=None):
     n_invalid = 0
     h = min(H_INIT, t_end)
 
-    if k is None:
-        termination = SINGULARITY
-    else:
-        k0, k1, k2, k3 = k
     while termination == COMPLETED and t < t_last:
         h = min(h, h_max, t_end - t)
         out = _step(field, y0, y1, y2, y3, h, k0, k1, k2, k3)

@@ -18,15 +18,17 @@ a * b are keyed in one operand order, so b + a and b * a reuse their
 line.  The source text of a trace thus changes with the rewrites; its
 values do not.
 
-A gradient row (F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of a function the
-catalog holds, or of a corrupted integral, feeds the sampled certificate
-checks, cached per (params, function).  F comes from the float trace of
-F, as in the monitor row, because the value part of a dual can differ
-from the float path by an ulp; the partials come from the tangents of one
-seeded dual pass.  On float64 columns, rows and identity pairs give their
-floats point by point: numpy's `+ - * / abs` round as Python's; `sin`,
-`cos` and `**` map math's (`elementwise`), as numpy's own can be an ulp
-off.
+Column traces run on float64 columns of sample points.  A key (kind,
+params, fn) names what one records: the gradient row (F, dF/dr, dF/dphi,
+dF/dp_r, dF/dp_phi) of a function the catalog holds or of a corrupted
+integral, the (lhs, rhs) pairs of an identity, or one value.  F comes
+from the float trace of F, as in the monitor row, because the value part
+of a dual can differ from the float path by an ulp; the partials come
+from the tangents of one seeded dual pass.  `column_trace` compiles any
+tuple of keys as one trace, cached per tuple: a certificate's every row
+at once, or one key alone.  On columns, traces give their floats point
+by point: numpy's `+ - * / abs` round as Python's; `sin`, `cos` and `**`
+map math's (`elementwise`), as numpy's own can be an ulp off.
 
 `Sym` records arithmetic, real powers, `abs`, `sin` and `cos`, which is
 all the formulas and `Dual` take.  It has no truth value and no
@@ -63,22 +65,26 @@ def elementwise(fn, *args):
 def on_columns(trace, rows):
     """A trace compiled with `columns` on the columns of the (N, 4) array
     `rows`.  Where numpy flags an overflow, a 0 divide or a NaN, or sin, cos
-    or pow raise or give a non-float, it reruns row by row, raising so.
-    Each output is a read-only float64 column: an array as it came, a
-    constant or a row-by-row tuple broadcast."""
+    or pow raise or give a non-float, it reruns row by row, raising so."""
     import numpy as np
     try:
         with np.errstate(all="raise", under="ignore"):
             out = trace(*rows.T)
     except (ArithmeticError, ValueError, TypeError):
         out = zip(*(trace(*row) for row in rows.tolist()))
-    full = rows.shape[:1]
+    return read_only(out, len(rows))
+
+
+def read_only(out, size):
+    """Each of a trace's outputs as a read-only float64 column of `size`:
+    an array as it came, a constant or a row-by-row tuple broadcast."""
+    import numpy as np
     cols = []
     for col in out:
         if isinstance(col, np.ndarray):
             col.flags.writeable = False
         else:
-            col = np.broadcast_to(np.asarray(col, dtype=float), full)
+            col = np.broadcast_to(np.asarray(col, dtype=float), (size,))
         cols.append(col)
     return tuple(cols)
 
@@ -185,9 +191,9 @@ def compile_traced(fn, label, columns=False):
     of the same four coordinates that returns the same tuple of floats.
     It is compiled under the file name `<traced label>`, so profiles list
     each trace on its own.  With `columns`, it calls `sin`, `cos` and `**`
-    through a fifth argument, `maps`, `elementwise` or one like it, and
-    deletes each local after its last read, so that a long trace holds
-    only the column temporaries it will still read."""
+    through `elementwise`, and deletes each local after its last read, so
+    that a long trace holds only the column temporaries it will still
+    read."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
@@ -195,16 +201,16 @@ def compile_traced(fn, label, columns=False):
     for expr, sym in reversed(tape.items()):
         if sym.name in live:
             if columns and " ** " in expr:
-                expr = "maps(pow, {}, {})".format(*expr.split(" ** "))
+                expr = "elementwise(pow, {}, {})".format(*expr.split(" ** "))
             elif columns and expr[:4] in ("sin(", "cos("):
-                expr = f"maps({expr[:3]}, {expr[4:]}"
+                expr = f"elementwise({expr[:3]}, {expr[4:]}"
             # on columns, an operand's array is freed after its last read
             dead = columns and sorted(set(sym.operands) - live - set(_COORDS))
             if dead:
                 body.append(f"    del {', '.join(dead)}")
             body.append(f"    {sym.name} = {expr}")
             live.update(sym.operands)
-    head = f"def traced({', '.join(_COORDS)}{', maps=elementwise' * columns}):"
+    head = f"def traced({', '.join(_COORDS)}):"
     ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
     namespace = dict(_GLOBALS, elementwise=elementwise)
     source = "\n".join([head] + body[::-1] + [ret])
@@ -260,40 +266,43 @@ def monitor_terms(params):
     return compile_traced(sizes, f"monitor_terms {params}", columns=True)
 
 
-@functools.lru_cache(maxsize=128)
-def identity_pairs(params, fn):
-    """The (lhs, rhs) pairs of the identity fn(params, r, phi, p_r, p_phi),
-    flattened into one row compiled for float64 columns."""
-    return compile_traced(lambda *y: sum(fn(params, *y), ()),
-                          f"identity {fn.__name__} {params}", columns=True)
+def gradient_row(params, fn, *y):
+    """(F, dF/dr, dF/dphi, dF/dp_r, dF/dp_phi) of F = fn(params, *y): H or
+    an integral (`observables.integral`), a part of a complex factor, or a
+    corrupted integral (`observables.corruption`), one object per key."""
+    dual = fn(params, *seed(*y))
+    return (fn(params, *y),) + tuple(tangent(dual))
 
 
-@functools.lru_cache(maxsize=128)
-def value_row(params, fn):
-    """(fn(params, r, phi, p_r, p_phi),), an algebra target or a law's
-    rate, compiled for columns."""
-    return compile_traced(lambda *y: (fn(params, *y),),
-                          f"value {fn.__name__} {params}", columns=True)
+def identity_pairs(params, fn, *y):
+    """The (lhs, rhs) pairs of the identity fn(params, *y), flattened."""
+    return sum(fn(params, *y), ())
 
 
-def _row(fn, params, r, phi, p_r, p_phi):
-    dual = fn(params, *seed(r, phi, p_r, p_phi))
-    return (fn(params, r, phi, p_r, p_phi),) + tuple(tangent(dual))
+def value_row(params, fn, *y):
+    """(fn(params, *y),): an algebra target or a law's rate."""
+    return (fn(params, *y),)
 
 
 @functools.lru_cache(maxsize=512)
-def gradient_row(params, fn):
-    """Compiled row(r, phi, p_r, p_phi) -> (F, dF/dr, dF/dphi, dF/dp_r,
-    dF/dp_phi) of F = fn(params, r, phi, p_r, p_phi), at one point or on
-    float64 columns (where an entry no coordinate reaches stays a float).
+def column_trace(keys):
+    """One trace, compiled for float64 columns, of every key (kind, params,
+    fn) in `keys`, with the number of outputs of each key: kind(params, fn,
+    r, phi, p_r, p_phi) for each key in turn, recorded on one tape, so a
+    line two keys share is computed once.  A key's own trace is the trace
+    of that key alone; its floats are the same in any tuple of keys."""
+    sizes = []
 
-    `fn` is a function as the catalog holds it: an `Integral` or H
-    (`observables.integral`), a part of a complex factor in `laws` or
-    `conserved_product`, or a corrupted integral
-    (`observables.corruption`); each is one object per key, so the cache
-    hits.  The Killing part of an integral is its plain row at couplings
-    zeroed.
-    """
+    def record(*y):
+        out = ()
+        for kind, params, fn in keys:
+            part = kind(params, fn, *y)
+            sizes.append(len(part))
+            out += part
+        return out
+    kind, params, fn = keys[0]
     name = getattr(fn, "name", None) or fn.__name__
-    return compile_traced(functools.partial(_row, fn, params),
-                          f"gradient_row {name} {params}", columns=True)
+    label = f"{kind.__name__} {name} {params}"
+    if len(keys) > 1:
+        label += f" and {len(keys) - 1} more"
+    return compile_traced(record, label, columns=True), tuple(sizes)

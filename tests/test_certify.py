@@ -26,10 +26,16 @@ from pdmham.dynamics import IntegratorConfig
 from pdmham.observables import corruption, integral
 from pdmham.phase import (DomainBox, ModelParams, PhasePoint, sample_draws,
                           sample_points)
-from pdmham.tracing import (gradient_row, identity_pairs, monitors,
-                             on_columns, value_row)
+from pdmham.tracing import (column_trace, gradient_row, identity_pairs,
+                            monitors, on_columns, value_row)
 
 COUPLINGS = (1.0, 0.6, 0.35)
+
+
+def _own(kind, params, fn):
+    """The key's own trace: the column trace of that key alone."""
+    trace, _ = column_trace(((kind, params, fn),))
+    return trace
 
 
 def _sample(count=120, seed=0):
@@ -168,7 +174,8 @@ def test_independence_matches_a_per_point_svd(family, n, names):
     params = ModelParams(family, n, *COUPLINGS)
     names = names or lookup(family).triple
     points = sample_points(params, DomainBox(seed=5), 300)
-    rows = [gradient_row(params, integral(family, name)) for name in names]
+    rows = [_own(gradient_row, params, integral(family, name))
+            for name in names]
     hits, failures = 0, []
     for pt in points:
         sv = np.linalg.svd([row(*pt.as_tuple())[1:] for row in rows],
@@ -315,13 +322,13 @@ def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
         col, = cols.read(value_row, params, rhs)
         assert col.tobytes() == struct.pack(
             "300d", *(rhs(params, *pt.as_tuple()) for pt in points))
-    h = gradient_row(params, integral(family, "H"))
+    h = _own(gradient_row, params, integral(family, "H"))
     for (label, (re, im), rate) in fam.laws:
         worst = 0.0
         for pt in points:
             y = pt.as_tuple()
-            zr, zi, g = gradient_row(params, re)(*y), \
-                gradient_row(params, im)(*y), h(*y)
+            zr, zi, g = _own(gradient_row, params, re)(*y), \
+                _own(gradient_row, params, im)(*y), h(*y)
             c = rate(params, *y)
             scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
             worst = max(worst, abs(row_bracket(zr, g) + c * zi[0]) / scale,
@@ -329,8 +336,8 @@ def test_law_rates_and_algebra_targets_are_the_pointwise_floats(family, n):
         got = evolution_law_check(params, None, points)[f"{label}_law"]
         assert struct.pack("d", got) == struct.pack("d", worst)
     for name, a, b, rhs in fam.algebra:
-        fa = gradient_row(params, integral(family, a))
-        fb = gradient_row(params, integral(family, b))
+        fa = _own(gradient_row, params, integral(family, a))
+        fb = _own(gradient_row, params, integral(family, b))
         worst = max(abs(row_bracket(fa(*pt.as_tuple()), fb(*pt.as_tuple()))
                         - rhs(params, *pt.as_tuple())) / _scale(
             fa(*pt.as_tuple())[0], fb(*pt.as_tuple())[0], pt)
@@ -402,7 +409,6 @@ def test_a_second_certificate_at_equal_params_compiles_no_trace(
         return real(fn, label, columns)
 
     monkeypatch.setattr(tracing, "compile_traced", counting)
-    monkeypatch.setattr(certify, "compile_traced", counting)
     assert certificate(params, sample, config) == first
     assert labels == []
 
@@ -586,7 +592,7 @@ def _nd_points(*odd):
     columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
     for row_params in (params, replace(params, k0=0.0, k1=0.0, k2=0.0)):
         with pytest.raises(FloatingPointError), np.errstate(all="raise"):
-            gradient_row(row_params, integral("nd", "H"))(*columns)
+            _own(gradient_row, row_params, integral("nd", "H"))(*columns)
     return params, points
 
 
@@ -595,11 +601,11 @@ def test_killing_names_the_first_non_finite_integral_by_integral():
     # at the earlier point KILL_A
     params, points = _nd_points(KILL_A, KILL_B)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    h = gradient_row(zeroed, integral("nd", "H"))
+    h = _own(gradient_row, zeroed, integral("nd", "H"))
 
     def pairs():
         for obs in lookup("nd").bound:
-            row = gradient_row(zeroed, obs)
+            row = _own(gradient_row, zeroed, obs)
             for pt in points:
                 f, g = row(*pt.as_tuple()), h(*pt.as_tuple())
                 yield abs(row_bracket(f, g)) / _scale(f[0], g[0], pt), pt
@@ -616,13 +622,13 @@ def test_evolution_law_names_the_first_non_finite_point_re_then_im():
     # before the real part's at the later point LAW_D
     params, points = _nd_points(LAW_C, LAW_D)
     (label, (re, im), rate), _ = lookup("nd").laws
-    h = gradient_row(params, integral("nd", "H"))
+    h = _own(gradient_row, params, integral("nd", "H"))
 
     def pairs():
         for pt in points:
             y = pt.as_tuple()
-            zr, zi, g = gradient_row(params, re)(*y), \
-                gradient_row(params, im)(*y), h(*y)
+            zr, zi, g = _own(gradient_row, params, re)(*y), \
+                _own(gradient_row, params, im)(*y), h(*y)
             c = rate(params, *y)
             scale = _scale(math.hypot(zr[0], zi[0]), g[0], pt)
             yield abs(row_bracket(zr, g) + c * zi[0]) / scale, pt
@@ -681,7 +687,7 @@ def test_identity_suite_names_the_loops_first_non_finite_gap():
     params, points = _nd_points(HUGE)
     columns = [np.array(c) for c in zip(*(pt.as_tuple() for pt in points))]
     with pytest.raises(FloatingPointError), np.errstate(all="raise"):
-        identity_pairs(params, kinetic_noether)(*columns)
+        _own(identity_pairs, params, kinetic_noether)(*columns)
     want = next(_first_non_finite(f"identity:{name}", pairs)
                 for name, fn in _identities("nd")
                 for pairs in [_rel_loop(params, fn, points)]

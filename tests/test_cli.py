@@ -357,6 +357,13 @@ def test_no_subcommand_is_usage_error():
                           ("--atol", "inf"))),
     # k_n*phi overflows at every draw past phi = 1.8: the PdmError names n
     ["check", "--family", "na", "--n", "1e308"],
+    # a start where the field is -inf, and one where H is inf
+    ["integrate", "--family", "nc", "--n", "1e308", "--k0", "-1", "--r0",
+     "1", "--phi0", "0.5", "--pr0", "0", "--pphi0", "1",
+     "--out", "{tmp}/traj.csv"],
+    ["integrate", "--family", "nc", "--n", "2", "--k0", "-1", "--r0", "1",
+     "--phi0", "0.5", "--pr0", "0", "--pphi0", "1e200",
+     "--out", "{tmp}/traj.csv"],
 ])
 def test_input_errors_exit_2_without_traceback(argv, tmp_path):
     argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)

@@ -26,7 +26,7 @@ from pdmham.dynamics import (COMPLETED, SINGULARITY, STEP_FAILURE,
 from pdmham.errors import PdmError
 from pdmham.phase import (DomainBox, ModelParams, PhasePoint, check_point,
                           sample_points)
-from pdmham.tracing import monitors
+from pdmham.tracing import monitors, vector_field
 
 EXPONENTS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
                       st.floats(-3.0, 4.0))
@@ -39,6 +39,11 @@ STATES = st.tuples(st.floats(-0.5, 4.0), st.floats(-7.0, 7.0),
 @given(family=st.sampled_from(tuple(CATALOG)), n=EXPONENTS,
        couplings=st.tuples(COUPLINGS, COUPLINGS, COUPLINGS), state=STATES,
        t_end=st.floats(0.01, 1.0))
+# the field is -inf at the start, and H is inf
+@example(family="nc", n=1e308, couplings=(-1.0, 0.0, 0.0),
+         state=(1.0, 0.5, 0.0, 1.0), t_end=1.0)
+@example(family="nc", n=2.0, couplings=(-1.0, 0.0, 0.0),
+         state=(1.0, 0.5, 0.0, 1e200), t_end=1.0)
 def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
         family, n, couplings, state, t_end):
     try:
@@ -53,6 +58,9 @@ def test_integrate_refuses_up_front_or_returns_a_tagged_trajectory(
     check_point(initial, params)
     assert traj.termination in (COMPLETED, SINGULARITY, STEP_FAILURE)
     assert len(traj) == traj.n_accepted + 1
+    # a run starts only where the field and the monitors are finite
+    assert all(map(math.isfinite, vector_field(params)(*state)))
+    assert all(math.isfinite(series[0]) for series in traj.monitors.values())
 
 
 def _require_finite_monitors(params, sample):

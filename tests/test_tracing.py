@@ -15,16 +15,24 @@ from oracles import KINETIC, gradient
 from pdmham import tracing
 from pdmham.brackets import poisson_bracket, row_bracket, scaled_residual
 from pdmham.catalog import CATALOG
-from pdmham.certify import _columns, _residuals
+from pdmham.certify import _columns, _plan, _residuals, certificate
 from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
-from pdmham.phase import DomainBox, ModelParams, sample_points
-from pdmham.tracing import (compile_traced, gradient_row, identity_pairs,
-                            monitor_terms, monitors, value_row, vector_field)
+from pdmham.dynamics import IntegratorConfig
+from pdmham.phase import DomainBox, ModelParams, SampleConfig, sample_points
+from pdmham.tracing import (column_trace, compile_traced, gradient_row,
+                            identity_pairs, monitor_terms, monitors,
+                            value_row, vector_field)
 
 CASES = [(family, n) for family in CATALOG
          for n in (-1.0, 0.0, 0.5, 2.0, 3.0)]
+
+
+def _own(kind, params, fn):
+    """The key's own trace: the column trace of that key alone."""
+    trace, _ = column_trace(((kind, params, fn),))
+    return trace
 
 
 def _points(params):
@@ -97,9 +105,9 @@ def test_each_trace_compiles_under_its_own_file_name():
     h = integral("na", "H")
     traced = [vector_field(params), vector_field(other),
               monitors(params)[1], monitor_terms(params),
-              gradient_row(params, h), gradient_row(other, h),
-              gradient_row(params, corruption(h, params, "momentum")),
-              gradient_row(params, integral("na", "Ja2"))]
+              _own(gradient_row, params, h), _own(gradient_row, other, h),
+              _own(gradient_row, params, corruption(h, params, "momentum")),
+              _own(gradient_row, params, integral("na", "Ja2"))]
     names = [fn.__code__.co_filename for fn in traced]
     assert len(set(names)) == len(names)
     assert all(name.startswith("<traced ") for name in names)
@@ -143,7 +151,7 @@ def test_columnar_rows_equal_pointwise_rows_bit_for_bit(family, n):
         (gradient_row, row_params, key)
         for row_params, key, _ in _row_functions(params))))
     for row_params, key, _ in _row_functions(params):
-        row = gradient_row(row_params, key)
+        row = _own(gradient_row, row_params, key)
         with np.errstate(all="raise", under="ignore"):
             got = row(*columns)
         merged = cols.memo[gradient_row, row_params, key]
@@ -163,8 +171,8 @@ def test_row_brackets_equal_dual_brackets(family, n):
               for pt in sample_points(params, DomainBox(seed=box_seed), 20)]
     cols = _columns(params, None, points)
     for row_params, fn, _ in functions:
-        row = gradient_row(row_params, fn)
-        h_row = gradient_row(row_params, integral(family, "H"))
+        row = _own(gradient_row, row_params, fn)
+        h_row = _own(gradient_row, row_params, integral(family, "H"))
         # the certificate's columnar reduction, at each point
         residuals = _residuals(row_params, fn, cols)
         for pt, residual in zip(points, residuals.tolist()):
@@ -245,22 +253,26 @@ def test_powers_of_zero_and_one_and_commuted_repeats_leave_no_line():
 
 _OPERATION = re.compile(r"^ {4}v\d+ = (\S+) ([+*]) (\S+)$")
 _ZERO_OR_UNIT_POWER = re.compile(
-    r"\*\* (\(-0\.0\)|0\.0|1\.0)$|maps\(pow, \S+, (\(-0\.0\)|0\.0|1\.0)\)$")
+    r"\*\* (\(-0\.0\)|0\.0|1\.0)$"
+    r"|elementwise\(pow, \S+, (\(-0\.0\)|0\.0|1\.0)\)$")
 
 
 def _family_traces(params):
-    """Every trace `integrate` and `pdm check` compile at params."""
+    """Every trace `integrate` and `pdm check` compile at params: a
+    certificate's merged trace, and each key's own."""
     fam = CATALOG[params.family]
     vector_field.__wrapped__(params)
     monitors.__wrapped__(params)
     monitor_terms.__wrapped__(params)
-    for row_params, fn, _ in _row_functions(params):
-        gradient_row.__wrapped__(row_params, fn)
-    for _, fn in fam.identities:
-        identity_pairs.__wrapped__(params, fn)
-    for fn in ([rhs for *_, rhs in fam.algebra]
-               + [rate for *_, rate in fam.laws]):
-        value_row.__wrapped__(params, fn)
+    points = sample_points(params, DomainBox(seed=3), 20)
+    column_trace.__wrapped__(_plan(params, _columns(params, None, points)))
+    keys = [(gradient_row, row_params, fn)
+            for row_params, fn, _ in _row_functions(params)]
+    keys += [(identity_pairs, params, fn) for _, fn in fam.identities]
+    keys += [(value_row, params, fn) for fn in (
+        [rhs for *_, rhs in fam.algebra] + [rate for *_, rate in fam.laws])]
+    for key in keys:
+        column_trace.__wrapped__((key,))
 
 
 @pytest.mark.parametrize("family,n", CASES)
@@ -277,3 +289,31 @@ def test_no_trace_has_a_zero_or_unit_power_or_a_commuted_repeat(family, n):
                 key = (op,) + tuple(sorted((left, right)))
                 assert key not in seen, line
                 seen.add(key)
+
+
+@pytest.mark.parametrize("family", sorted(CATALOG))
+def test_every_column_trace_takes_the_four_coordinates(family, monkeypatch):
+    # the certificate's merged trace, and `monitor_terms` for its drift
+    # check, take (r, phi, p_r, p_phi) and nothing else; couplings no
+    # other test uses, so that every trace compiles here
+    params = ModelParams(family, 2.0, 0.7, 0.3, -0.2375)
+    compiled = []
+    real = tracing.compile_traced
+
+    def spy(fn, label, columns=False):
+        traced = real(fn, label, columns)
+        if columns:
+            compiled.append((label, traced))
+        return traced
+
+    monkeypatch.setattr(tracing, "compile_traced", spy)
+    certificate(params, SampleConfig(count=40), IntegratorConfig(t_end=0.5))
+    labels = [label for label, _ in compiled]
+    assert f"monitor_terms {params}" in labels
+    assert any(label.startswith("gradient_row H ") and " more" in label
+               for label in labels), labels
+    for _, traced in compiled:
+        code = traced.__code__
+        assert code.co_varnames[:code.co_argcount] == (
+            "r", "phi", "p_r", "p_phi")
+        assert traced.__defaults__ is None and code.co_kwonlyargcount == 0
