@@ -1,9 +1,9 @@
 """Source-transformation differentiation: each family's vector field,
 monitor row, the size of the monitors' terms and gradient rows, traced
-once per parameter set into straight-line float code.
+once per parameter set into compiled float code.
 
 A recording scalar `Sym` runs through the same `formulas`/`catalog` code
-that floats and duals run through and appends one line of Python per float
+that floats and duals run through and appends one tape line per float
 operation.  Seeded inside `Dual`s it records the forward-mode gradient, so
 no derivative is written by hand (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008).  The emitted code performs the same
@@ -17,6 +17,12 @@ every input remove more lines: x**0.0 is 1.0, x**1.0 is x, and a + b and
 a * b are keyed in one operand order, so b + a and b * a reuse their
 line.  The source text of a trace thus changes with the rewrites; its
 values do not.
+
+The vector field and the monitor row, which `integrate` calls at every
+stage and step, write a +, - or * whose value is read once into the
+expression that reads it (`compile_traced`).  That changes no float and
+no exception: the operations keep their operands and order, and those
+that can raise keep their order.
 
 Column traces run on float64 columns of sample points.  A key (kind,
 params, fn) names what one records: the gradient row (F, dF/dr, dF/dphi,
@@ -190,30 +196,60 @@ def compile_traced(fn, label, columns=False):
     """Trace fn(r, phi, p_r, p_phi) -> tuple once into a compiled function
     of the same four coordinates that returns the same tuple of floats.
     It is compiled under the file name `<traced label>`, so profiles list
-    each trace on its own.  With `columns`, it calls `sin`, `cos` and `**`
-    through `elementwise`, and deletes each local after its last read, so
-    that a long trace holds only the column temporaries it will still
-    read."""
+    each trace on its own.
+
+    On floats, a value read exactly once whose operation is +, - or * is
+    written, in parentheses, into the one expression that reads it, instead
+    of into a local of its own.  Each operation keeps its operands and
+    their order, so every float (and every complex a negative base gives)
+    is the same; and as these operations cannot raise, every /, **, sin,
+    cos and abs stays a statement of its own in tape order, so the first
+    exception a trace raises is the same too.  With `columns`, every
+    operation stays a statement: it calls `sin`, `cos` and `**` through
+    `elementwise`, and deletes each local after its last read, so that a
+    long trace holds only the column temporaries it will still read."""
     tape = {}
     outputs = fn(*(Sym(name, tape) for name in _COORDS))
     live = {o.name for o in outputs if isinstance(o, Sym)}
-    body = []
+    lines = []      # (expr, sym, the operands it reads last, on columns)
     for expr, sym in reversed(tape.items()):
         if sym.name in live:
-            if columns and " ** " in expr:
-                expr = "elementwise(pow, {}, {})".format(*expr.split(" ** "))
-            elif columns and expr[:4] in ("sin(", "cos("):
-                expr = f"elementwise({expr[:3]}, {expr[4:]}"
-            # on columns, an operand's array is freed after its last read
             dead = columns and sorted(set(sym.operands) - live - set(_COORDS))
+            lines.append((expr, sym, dead))
+            live.update(sym.operands)
+    ret = [_atom(o) for o in outputs]
+    body = []
+    if columns:
+        for expr, sym, dead in reversed(lines):
+            if " ** " in expr:
+                expr = "elementwise(pow, {}, {})".format(*expr.split(" ** "))
+            elif expr[:4] in ("sin(", "cos("):
+                expr = f"elementwise({expr[:3]}, {expr[4:]}"
+            body.append(f"    {sym.name} = {expr}")
+            # on columns, an operand's array is freed after its last read
             if dead:
                 body.append(f"    del {', '.join(dead)}")
-            body.append(f"    {sym.name} = {expr}")
-            live.update(sym.operands)
+    else:
+        reads = {}      # per name, with multiplicity: the return and lines
+        for name in ret + [a for _, sym, _ in lines for a in sym.operands]:
+            reads[name] = reads.get(name, 0) + 1
+        nested = {}
+        for expr, sym, _ in reversed(lines):
+            if " " in expr:             # a op b
+                a, op, b = expr.split(" ")
+                expr = f"{nested.get(a, a)} {op} {nested.get(b, b)}"
+            else:                       # -a, sin(a), cos(a) or abs(a)
+                a, = sym.operands
+                op, _, end = expr.partition(a)
+                expr = f"{op}{nested.get(a, a)}{end}"
+            if op in ("+", "-", "*") and reads[sym.name] == 1:
+                nested[sym.name] = f"({expr})"
+            else:
+                body.append(f"    {sym.name} = {expr}")
+        ret = [nested.get(a, a) for a in ret]
     head = f"def traced({', '.join(_COORDS)}):"
-    ret = f"    return ({', '.join(_atom(o) for o in outputs)},)"
     namespace = dict(_GLOBALS, elementwise=elementwise)
-    source = "\n".join([head] + body[::-1] + [ret])
+    source = "\n".join([head, *body, f"    return ({', '.join(ret)},)"])
     exec(compile(source, f"<traced {label}>", "exec"), namespace)
     return namespace["traced"]
 

@@ -1,9 +1,11 @@
 """The traced field, monitor row, monitor term sizes and gradient rows
 against their dual and float oracles."""
 
+import ast
 import math
 import re
 import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -251,7 +253,6 @@ def test_powers_of_zero_and_one_and_commuted_repeats_leave_no_line():
     assert source.splitlines()[-1].startswith("    return (1.0, r, 1.0, ")
 
 
-_OPERATION = re.compile(r"^ {4}v\d+ = (\S+) ([+*]) (\S+)$")
 _ZERO_OR_UNIT_POWER = re.compile(
     r"\*\* (\(-0\.0\)|0\.0|1\.0)$"
     r"|elementwise\(pow, \S+, (\(-0\.0\)|0\.0|1\.0)\)$")
@@ -277,18 +278,89 @@ def _family_traces(params):
 
 @pytest.mark.parametrize("family,n", CASES)
 def test_no_trace_has_a_zero_or_unit_power_or_a_commuted_repeat(family, n):
+    # every operation, nested in an expression or a line of its own, keyed
+    # by its operands' source, in sorted order for + and *
     params = ModelParams(family, n, 0.7, 0.3, -0.2)
     sources = _sources(lambda: _family_traces(params))
     assert len(sources) > 3
     for source in sources:
-        seen = set()
         for line in source.splitlines()[1:-1]:
             assert not _ZERO_OR_UNIT_POWER.search(line), line
-            if match := _OPERATION.match(line):
-                left, op, right = match.groups()
-                key = (op,) + tuple(sorted((left, right)))
-                assert key not in seen, line
+        seen = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp):
+                operands = [ast.unparse(node.left), ast.unparse(node.right)]
+                if isinstance(node.op, (ast.Add, ast.Mult)):
+                    operands.sort()
+                key = (type(node.op), *operands)
+                assert key not in seen, ast.unparse(node)
                 seen.add(key)
+
+
+def _can_raise(node):
+    """/ (ZeroDivisionError), ** (OverflowError), sin and cos (ValueError)
+    and abs of a complex (OverflowError)."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.Div, ast.Pow))
+    return isinstance(node, ast.Call)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_float_traces_nest_only_single_reads_that_cannot_raise(family, n):
+    # each operation that can raise is a statement of its own, so they run
+    # in tape order; every other local is read at least twice
+    params = ModelParams(family, n, 0.7, 0.3, -0.2)
+    sources = _sources(lambda: (vector_field.__wrapped__(params),
+                                monitors.__wrapped__(params)))
+    assert len(sources) == 2
+    for source in sources:
+        tree = ast.parse(source)
+        *body, _ = tree.body[0].body
+        reads = Counter(node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load))
+        statements = {id(line.value) for line in body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                assert node.func.id in ("sin", "cos", "abs"), ast.unparse(node)
+            if _can_raise(node):
+                assert id(node) in statements, ast.unparse(node)
+        for line in body:
+            name, = line.targets
+            assert reads[name.id] >= 2 or _can_raise(line.value), (
+                ast.unparse(line))
+
+
+_NA = ModelParams("na", 2.0, 0.7, 0.3, -0.2)
+_ND = ModelParams("nd", 3.0, -1.0, 0.5, -0.3)
+
+
+@pytest.mark.parametrize("trace", [vector_field, lambda p: monitors(p)[1]],
+                         ids=["field", "monitors"])
+@pytest.mark.parametrize("params,y,error,message", [
+    (_NA, (0.0, 0.5, 0.1, 1.0), ZeroDivisionError, "float division by zero"),
+    (_NA, (1.0, math.inf, 0.1, 1.0), ValueError, "math domain error"),
+    (_ND, (1e200, 0.5, 0.0, 1.0), OverflowError,
+     "(34, 'Numerical result out of range')"),
+], ids=["na r=0", "na phi=inf", "nd r=1e200"])
+def test_first_exception_of_a_float_trace(trace, params, y, error, message):
+    # the operations that can raise run in tape order, whatever is nested
+    # between them, so a point that fails two of them raises the first
+    with pytest.raises(error) as info:
+        trace(params)(*y)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_negative_base_gives_the_same_complex_values():
+    # at r < 0 a fractional power of r is complex, and so is every value
+    # computed from it
+    params = ModelParams("nc1", 0.5, 0.7, 0.3, -0.2)
+    y = (-1.0, 0.5, 0.1, 1.0)
+    assert repr(vector_field(params)(*y)) == (
+        "(-0.1, -1.0, (2.2303330913975032+0.35j), -6.391917869162653)")
+    assert repr(monitors(params)[1](*y)) == (
+        "((-2.240333091397503-0.7j), 4.470666182795006, "
+        "(-0.6782386951974514+4.106943601906339j))")
 
 
 @pytest.mark.parametrize("family", sorted(CATALOG))
