@@ -9,17 +9,18 @@ and one trajectory drift check.
 
 Every check but the drift runs on traces of the catalog's own functions
 (`tracing`): gradient rows, identity pairs, law rates and algebra
-targets, on the float64 columns of the draws (`_Columns`).  A
-certificate lists every row its checks read (`_plan`) and runs them as
-one merged trace (`tracing.column_trace` of every key), so each distinct
-line, sin, cos and pow runs once per certificate.  A row it did not
-list, a public check called alone, or a merged run numpy flags runs each
-row's own trace, the column trace of its key alone, with the same
-floats.  `_worst` reduces each residual array and refuses a NaN or an
-infinity; a Gram determinant in column arithmetic spares the rank
-check's SVD the clear points.  Every residual is deterministic given
-(params, sample seed, integrator config) and equals its point-by-point
-oracle bit for bit.
+targets, on the float64 columns of the draws (`_Columns`).  One table,
+`_CHECKS`, holds a certificate's checks in order, each with its name
+prefix, tolerance, the rows it reads (its `read` keys) and its results.
+A certificate runs the rows of every entry as one merged trace
+(`tracing.column_trace`), so each distinct line, sin, cos and pow runs
+once per certificate, and then loops over the table; a public check
+called alone runs its own rows as one merged trace.  Where numpy flags a
+merged run, each row runs its own trace, with the same floats.  `_worst`
+reduces each residual array and refuses a NaN or an infinity; a Gram
+determinant in column arithmetic spares the rank check's SVD the clear
+points.  Every residual is deterministic given (params, sample seed,
+integrator config) and equals its point-by-point oracle bit for bit.
 Serialization: top-level JSON fields `family`, `n`, `couplings`, `checks`
 (array of {name, max_residual, tolerance, pass}, plus `note` where a check
 was skipped or needs reading guidance), `verdict`.
@@ -118,8 +119,6 @@ class _Columns:
         return len(self.draws)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [PhasePoint(*d) for d in self.draws[i].tolist()]
         return PhasePoint(*self.draws[i].tolist())
 
     def read(self, kind, params, fn):
@@ -137,40 +136,20 @@ class _Columns:
         return self.read(gradient_row, params, fn)
 
     def prefetch(self, keys):
-        """Memo the columns of every `read` key in `keys` from one run of
-        their merged trace (`tracing.column_trace`), which computes each
-        distinct line, sin, cos and pow once.  Where numpy flags that run
-        (an overflow, a 0 divide or a NaN) it raises, and no key is memoed:
-        each key's own trace then runs where it is read, flagging as it
-        would."""
+        """Memo the columns of every `read` key in `keys` not yet memoed
+        from one run of their merged trace (`tracing.column_trace`), which
+        computes each distinct line, sin, cos and pow once.  Where numpy
+        flags that run (an overflow, a 0 divide or a NaN) it raises, and no
+        key is memoed: each key's own trace then runs where it is read,
+        flagging as it would."""
+        keys = tuple(k for k in dict.fromkeys(keys) if k not in self.memo)
+        if not keys:
+            return
         trace, sizes = column_trace(keys)
         with np.errstate(all="raise", under="ignore"):
             cols = iter(read_only(trace(*self.draws.T), len(self)))
         for key, size in zip(keys, sizes):
             self.memo[key] = tuple(itertools.islice(cols, size))
-
-
-def _plan(params, points):
-    """Every `read` key the checks of `certificate` read on `points`, from
-    the family's record: gradient rows of H and the bound integrals, the
-    Killing parts, law parts, conserved-product parts and corrupted
-    integrals, then identity pairs, law rates and algebra targets."""
-    fam = lookup(params.family)
-    h = integral(params.family, "H")
-    zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
-    quadratics = tuple(obs for obs in fam.bound if obs.degree == 2)
-    rows = [(params, f) for f in (h,) + fam.bound]
-    if quadratics:
-        rows += [(zeroed, f) for f in (h,) + quadratics]
-    rows += [(params, part) for _, pair, _ in fam.laws for part in pair]
-    rows += [(params, part) for part in fam.conserved_product]
-    rows += [(params, f) for f in (_corrupted(obs, params, points)
-                                   for obs in fam.bound) if f is not None]
-    keys = [(gradient_row, p, f) for p, f in rows]
-    keys += [(identity_pairs, params, fn) for _, fn in _identities(fam)]
-    keys += [(value_row, params, rate) for _, _, rate in fam.laws]
-    keys += [(value_row, params, rhs) for _, _, _, rhs in fam.algebra]
-    return tuple(dict.fromkeys(keys))
 
 
 def _columns(params, sample, points=None):
@@ -180,6 +159,27 @@ def _columns(params, sample, points=None):
     if points is None:
         return _Columns(sample_draws(params, sample.box, sample.count))
     return _Columns(np.array([pt.as_tuple() for pt in points]).reshape(-1, 4))
+
+
+def _read(params, sample, points, rows, *options):
+    """`points` as `_Columns`, with the `read` keys rows(params, points,
+    *options) prefetched.  A prefetch only: a key it could not give (a run
+    numpy flags, or a row that raises) is traced on its own where a check
+    reads it, and raises there as it would."""
+    points = _columns(params, sample, points)
+    with contextlib.suppress(ArithmeticError, ValueError, TypeError):
+        points.prefetch(rows(params, points, *options))
+    return points
+
+
+def _gradients(params, fns):
+    """The `read` keys of the gradient rows of `fns` at `params`, an inert
+    corruption (None) skipped."""
+    return [(gradient_row, params, f) for f in fns if f is not None]
+
+
+def _h(params):
+    return integral(params.family, "H")
 
 
 def _worst(check, residuals, points):
@@ -199,11 +199,22 @@ def _worst(check, residuals, points):
 def _residuals(params, f, points, g=None):
     """Scaled |{F, G}| at each of the `_Columns` points, G = H unless
     given."""
-    if g is None:
-        g = integral(params.family, "H")
-    f_row, g_row = points.row(params, f), points.row(params, g)
+    f_row, g_row = points.row(params, f), points.row(params, g or _h(params))
     return abs(row_bracket(f_row, g_row)) / bracket_scale(
         f_row[0], g_row[0], points)
+
+
+def _bracketed(params, points, corrupt):
+    """(name, F) of each bound integral in turn, F corrupted where
+    `corrupt` names it (None where that corruption is inert)."""
+    for obs in lookup(params.family).bound:
+        yield obs.name, (_corrupted(obs, params, points)
+                         if obs.name == corrupt else obs)
+
+
+def _bracket_rows(params, points, corrupt=None):
+    return _gradients(params, [_h(params)] + [
+        f for _, f in _bracketed(params, points, corrupt)])
 
 
 def bracket_residual_suite(params, sample, points=None, corrupt=None):
@@ -212,20 +223,21 @@ def bracket_residual_suite(params, sample, points=None, corrupt=None):
     `corrupt` names one integral to replace by its +10% corrupted version,
     demonstrating end to end that the harness turns the verdict.
     """
-    points = _columns(params, sample, points)
+    points = _read(params, sample, points, _bracket_rows, corrupt)
     if corrupt is not None and corrupt not in family_integrals(params.family):
         raise PdmError(f"{params.family} does not bind {corrupt!r}")
     out = {}
-    for obs in lookup(params.family).bound:
-        f = obs
-        if obs.name == corrupt:
-            f = _corrupted(obs, params, points)
-            if f is None:
-                raise ValueError(
-                    f"corruption of single-term integral {obs.name} is inert")
-        out[obs.name] = _worst(f"bracket:{obs.name}", _residuals(
+    for name, f in _bracketed(params, points, corrupt):
+        if f is None:
+            raise ValueError(
+                f"corruption of single-term integral {name} is inert")
+        out[name] = _worst(f"bracket:{name}", _residuals(
             params, f, points), points)
     return out
+
+
+def _named_rows(params, points, names):
+    return _gradients(params, [integral(params.family, n) for n in names])
 
 
 def involution_check(params, pairs=None, sample=None, points=None):
@@ -235,10 +247,12 @@ def involution_check(params, pairs=None, sample=None, points=None):
     small; the other pairwise values are generically nonzero and are
     reported as found.
     """
-    points = _columns(params, sample or SampleConfig(), points)
     if pairs is None:
         names = [n for n in lookup(params.family).triple if n != "H"]
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    pairs = list(pairs)
+    points = _read(params, sample or SampleConfig(), points, _named_rows,
+                   [name for pair in pairs for name in pair])
     fam = params.family
     return {f"{a},{b}": _worst(f"involution:{a},{b}", _residuals(
         params, integral(fam, a), points, integral(fam, b)), points)
@@ -254,10 +268,10 @@ def independence_stats(params, sample, names=None, points=None):
     comparable.  Returns (fraction, failures); each failure carries the
     point and its singular values for inspection.
     """
-    points = _columns(params, sample, points)
     names = names or lookup(params.family).triple
     if not 2 <= len(names) <= 4:
         raise ValueError("rank check takes 2 to 4 functions")
+    points = _read(params, sample, points, _named_rows, names)
     # the partials of every function at every point, stacked (N, k, 4)
     partials = np.array([points.row(params, integral(params.family, n))[1:]
                          for n in names]).transpose(2, 0, 1)
@@ -296,6 +310,13 @@ def _rank_failures(partials):
             in zip(rest.tolist(), sv.tolist(), full.tolist()) if not ok]
 
 
+def _killing_rows(params, points):
+    quadratics = [obs for obs in lookup(params.family).bound
+                  if obs.degree == 2]
+    return quadratics and _gradients(replace(params, k0=0.0, k1=0.0, k2=0.0),
+                                     [_h(params)] + quadratics)
+
+
 def killing_tensor_check(params, sample, points=None):
     """Max scaled |{K, T}| over quadratic-integral momentum parts.
 
@@ -308,7 +329,7 @@ def killing_tensor_check(params, sample, points=None):
     if not quadratics:
         raise NoQuadraticIntegral(
             f"{params.family} binds no quadratic integral")
-    points = _columns(params, sample, points)
+    points = _read(params, sample, points, _killing_rows)
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
     # integral by integral, so the PdmError names the first in that order
     return max(_worst("killing_tensor", _residuals(zeroed, obs, points),
@@ -337,10 +358,15 @@ def _identities(fam):
     return (("kinetic_noether", kinetic_noether),) + fam.identities
 
 
+def _identity_rows(params, points):
+    return [(identity_pairs, params, fn)
+            for _, fn in _identities(lookup(params.family))]
+
+
 def identity_suite(params, sample, points=None):
     """Worst `_rel` gap of the kinetic-Noether identity, then of each of
     the family's own, as one trace on the columns (`identity_pairs`)."""
-    points = _columns(params, sample, points)
+    points = _read(params, sample, points, _identity_rows)
     out = {}
     for name, fn in _identities(lookup(params.family)):
         flat = points.read(identity_pairs, params, fn)
@@ -350,12 +376,18 @@ def identity_suite(params, sample, points=None):
     return out
 
 
+def _algebra_rows(params, points):
+    return [key for _, a, b, rhs in lookup(params.family).algebra
+            for key in _named_rows(params, points, (a, b))
+            + [(value_row, params, rhs)]]
+
+
 @np.errstate(all="ignore")
 def algebra_check(params, sample, points=None):
     """The closed bracket relations {A, B} = rhs the family carries (the
     third integral and the Runge-Lenz pair of the single-angle oscillator
     family); empty for families that carry none."""
-    points = _columns(params, sample, points)
+    points = _read(params, sample, points, _algebra_rows)
     out = {}
     for name, a, b, rhs in lookup(params.family).algebra:
         fa = points.row(params, integral(params.family, a))
@@ -365,6 +397,13 @@ def algebra_check(params, sample, points=None):
             row_bracket(fa, fb) - target) / bracket_scale(
             fa[0], fb[0], points), points)
     return out
+
+
+def _evolution_rows(params, points):
+    fam = lookup(params.family)
+    parts = [part for _, pair, _ in fam.laws for part in pair]
+    return _gradients(params, [_h(params), *parts, *fam.conserved_product]
+                      ) + [(value_row, params, rate) for *_, rate in fam.laws]
 
 
 @np.errstate(all="ignore")
@@ -378,8 +417,8 @@ def evolution_law_check(params, sample, points=None):
     carry no complex factor.
     """
     fam = lookup(params.family)
-    points = _columns(params, sample, points)
-    h = points.row(params, integral(params.family, "H"))
+    points = _read(params, sample, points, _evolution_rows)
+    h = points.row(params, _h(params))
     out = {}
     for label, (re, im), rate in fam.laws:
         zr, zi = points.row(params, re), points.row(params, im)
@@ -399,39 +438,49 @@ def evolution_law_check(params, sample, points=None):
     return out
 
 
-def _corruption_part(obs, params, probe_points):
-    """The part a +10% corruption of `obs` scales, or None when inert.
-
-    Preferably the couplings-zeroed momentum part; for integrals that are
-    pure momentum polynomials, the p_phi-free part (see
-    `observables.corruption_parts`).  A single-term integral admits no
-    symmetry-breaking corruption (scaling a conserved quantity keeps it
-    conserved), so None marks it inert.
-    """
-    full = [obs(params, *pt.as_tuple()) for pt in probe_points]
-    for name, part in corruption_parts(obs, params).items():
-        sub = [part(params, *pt.as_tuple()) for pt in probe_points]
-        nonzero = max(abs(v) for v in sub)
-        differs = max(abs(f - s) for f, s in zip(full, sub))
-        if nonzero > 1e-9 and differs > 1e-9:
-            return name
-    return None
+def _probe_rows(params, points):
+    return [(value_row, params, f) for obs in lookup(params.family).bound
+            for f in (obs, *dict(corruption_parts(obs, params)).values())]
 
 
 def _corrupted(obs, params, points):
-    """`obs` corrupted in the part `_corruption_part` picks on the first 8
-    of the `_Columns` points, or None where it is inert; once per key."""
-    key = (_corruption_part, params, obs)
-    if key not in points.memo:
-        part = _corruption_part(obs, params, points[:8])
-        points.memo[key] = part and corruption(obs, params, part)
-    return points.memo[key]
+    """`obs` plus 10% of the first of its parts (`observables.
+    corruption_parts`) that is nonzero and differs from `obs`, each by
+    more than 1e-9 at one of the first 8 of the `_Columns` points, or None
+    where no part does: a single-term integral admits no symmetry-breaking
+    corruption (scaling a conserved quantity keeps it conserved), so None
+    marks it inert.  Once per key, on the value columns of every bound
+    integral and its parts at those 8 points, one merged trace."""
+    key = (_corrupted, params, obs)
+    if key in points.memo:
+        return points.memo[key]
+    if (_probe_rows, params) not in points.memo:
+        points.memo[_probe_rows, params] = _read(
+            params, None, _Columns(points.draws[:8]), _probe_rows)
+    probe, chosen = points.memo[_probe_rows, params], None
+    full, = probe.read(value_row, params, obs)
+    for name, part in corruption_parts(obs, params):
+        sub, = probe.read(value_row, params, part)
+        with np.errstate(all="ignore"):
+            differs = abs(full - sub).tolist()
+        # Python's max, which passes over a NaN that is not first
+        if max(abs(sub).tolist()) > 1e-9 and max(differs) > 1e-9:
+            chosen = corruption(obs, params, name)
+            break
+    points.memo[key] = chosen
+    return chosen
+
+
+def _control_rows(params, points):
+    bound = lookup(params.family).bound
+    return _gradients(params, [_h(params)] + [
+        _corrupted(obs, params, points) for obs in bound])
 
 
 def corruption_suite(params, sample, points=None):
     """Max scaled residual of each corrupted integral; the harness is
     sensitive when every non-inert corruption lands well above tolerance."""
-    points = _columns(params, sample, points)
+    points = _read(params, sample, points, _control_rows)
     results = {}
     inert = []
     for obs in lookup(params.family).bound:
@@ -475,16 +524,12 @@ def certificate(params, sample=None, config=None, corrupt=None):
     """
     if params.n == 1.0:
         raise PdmError("n = 1 degenerate (k_n = 0): P2 = -Pphi")
-    sample = sample or SampleConfig()
     config = config or IntegratorConfig(t_end=10.0)
-    points = _columns(params, sample)
-    # a prefetch only: a key it could not give is traced on its own where
-    # a check reads it, and raises there as it would
-    with contextlib.suppress(ArithmeticError, ValueError, TypeError):
-        points.prefetch(_plan(params, points))
+    points = _read(params, sample or SampleConfig(), None,
+                   _certificate_rows)
     try:
         _require_finite(params, points)
-        checks = tuple(_checks(params, sample, config, points, corrupt))
+        checks = tuple(_checks(params, config, points, corrupt))
     except (OverflowError, np.linalg.LinAlgError) as exc:
         # the SVD of the rank check fails only on partials that overflowed
         raise PdmError(f"a check overflows at these couplings: "
@@ -493,61 +538,88 @@ def certificate(params, sample=None, config=None, corrupt=None):
     return Certificate(params=params, checks=checks, verdict=verdict)
 
 
-def _checks(params, sample, config, points, corrupt):
-    suite = bracket_residual_suite(params, sample, points, corrupt=corrupt)
-    for name, res in suite.items():
-        note = "+10% corruption applied" if name == corrupt else None
-        yield CheckResult(f"bracket:{name}", res, BRACKET_TOL,
-                          res <= BRACKET_TOL, note=note)
+def _certificate_rows(params, points):
+    """Every `read` key of the checks of a certificate."""
+    return [key for _, _, rows, _ in _CHECKS for key in rows(params, points)]
 
-    fam = lookup(params.family)
-    if fam.commuting:
-        pair = ",".join(fam.commuting)
-        res = involution_check(params, pairs=[fam.commuting],
-                               points=points)[pair]
-        yield CheckResult(f"involution:{pair}", res, BRACKET_TOL,
-                          res <= BRACKET_TOL)
 
-    fraction, _ = independence_stats(params, sample, fam.triple, points)
-    yield CheckResult(
-        "independence:" + ",".join(fam.triple), 1.0 - fraction,
-        1.0 - INDEPENDENCE_FRACTION, fraction >= INDEPENDENCE_FRACTION,
-        note=f"full rank at {fraction:.1%} of {len(points)} points")
+def _checks(params, config, points, corrupt):
+    for prefix, tol, _, results in _CHECKS:
+        try:
+            found = results(params, points, config, corrupt)
+        except (NoQuadraticIntegral, EmptyTrajectory) as exc:
+            found = [("", None, f"skipped: {exc}")]
+        for name, res, note in found:
+            passed = None if res is None else (
+                res > tol if prefix == "negative_control" else res <= tol)
+            yield CheckResult(f"{prefix}:{name}" if name else prefix, res,
+                              tol, passed, note)
 
-    try:
-        res = killing_tensor_check(params, sample, points)
-        yield CheckResult("killing_tensor", res, BRACKET_TOL,
-                          res <= BRACKET_TOL)
-    except NoQuadraticIntegral as exc:
-        yield CheckResult("killing_tensor", None, BRACKET_TOL, None,
-                          note=f"skipped: {exc}")
 
-    for prefix, suite, tol in (
-            ("identity", identity_suite, IDENTITY_TOL),
-            ("algebra", algebra_check, BRACKET_TOL),
-            ("evolution", evolution_law_check, EVOLUTION_TOL)):
-        for name, res in suite(params, sample, points).items():
-            yield CheckResult(f"{prefix}:{name}", res, tol, res <= tol)
+def _suite(check):
+    """The results of a public check that returns {name: residual}."""
+    return lambda params, points, *_: [
+        (name, res, "") for name, res in check(params, None, points).items()]
 
-    results, inert = corruption_suite(params, sample, points)
-    if results:
-        weakest = min(results.values())
-        note = "passes when the corrupted residual exceeds tolerance"
-        if inert:
-            note += f"; inert (single-term): {','.join(inert)}"
-        yield CheckResult("negative_control", weakest, CONTROL_FLOOR,
-                          weakest > CONTROL_FLOOR, note=note)
-    else:
-        yield CheckResult("negative_control", None, CONTROL_FLOOR, None,
-                          note="skipped: every bound integral is single-term")
 
-    try:
-        trajectory = integrate(params, points[0], config)
-        worst = worst_drift(drift_report(
-            trajectory, terms=monitor_terms(params)).values())
-        yield CheckResult(
-            "drift", worst, DRIFT_TOL, worst <= DRIFT_TOL,
-            note=f"{trajectory.termination} at t={trajectory.times[-1]:.3g}")
-    except EmptyTrajectory as exc:
-        yield CheckResult("drift", None, DRIFT_TOL, None,
-                          note=f"skipped: {exc}")
+def _brackets(params, points, config, corrupt):
+    suite = bracket_residual_suite(params, None, points, corrupt)
+    return [(name, res, "+10% corruption applied" if name == corrupt
+             else None) for name, res in suite.items()]
+
+
+def _involution(params, points, *_):
+    pair = lookup(params.family).commuting
+    return [(name, res, "") for name, res in involution_check(
+        params, [pair] if pair else [], points=points).items()]
+
+
+def _independence(params, points, *_):
+    triple = lookup(params.family).triple
+    fraction, _ = independence_stats(params, None, triple, points)
+    # 1 - fraction is exact for fraction >= 0.5, so it is at most
+    # 1 - INDEPENDENCE_FRACTION just where fraction is at least that
+    return [(",".join(triple), 1.0 - fraction,
+             f"full rank at {fraction:.1%} of {len(points)} points")]
+
+
+def _control(params, points, *_):
+    results, inert = corruption_suite(params, None, points)
+    if not results:
+        return [("", None, "skipped: every bound integral is single-term")]
+    note = "passes when the corrupted residual exceeds tolerance"
+    if inert:
+        note += f"; inert (single-term): {','.join(inert)}"
+    return [("", min(results.values()), note)]
+
+
+def _drift(params, points, config, _):
+    trajectory = integrate(params, points[0], config)
+    worst = worst_drift(drift_report(
+        trajectory, terms=monitor_terms(params)).values())
+    return [("", worst, f"{trajectory.termination} at "
+                        f"t={trajectory.times[-1]:.3g}")]
+
+
+# The checks of a certificate, in order: (name prefix, tolerance, rows,
+# results).  rows(params, points) gives the `read` keys a check reads on
+# the columns, and results(params, points, config, corrupt) its (name,
+# residual, note) triples, each named "prefix:name", or the prefix alone
+# for an empty name.  A None residual is a skipped check; the negative
+# control passes above its tolerance, every other check at or below it.
+_CHECKS = (
+    ("bracket", BRACKET_TOL, _bracket_rows, _brackets),
+    ("involution", BRACKET_TOL, lambda params, points: _named_rows(
+        params, points, lookup(params.family).commuting), _involution),
+    ("independence", 1.0 - INDEPENDENCE_FRACTION, lambda params, points:
+        _named_rows(params, points, lookup(params.family).triple),
+     _independence),
+    ("killing_tensor", BRACKET_TOL, _killing_rows, lambda params, points, *_:
+        [("", killing_tensor_check(params, None, points), "")]),
+    ("identity", IDENTITY_TOL, _identity_rows, _suite(identity_suite)),
+    ("algebra", BRACKET_TOL, _algebra_rows, _suite(algebra_check)),
+    ("evolution", EVOLUTION_TOL, _evolution_rows,
+     _suite(evolution_law_check)),
+    ("negative_control", CONTROL_FLOOR, _control_rows, _control),
+    ("drift", DRIFT_TOL, lambda params, points: [], _drift),
+)

@@ -37,10 +37,12 @@ def integral(family, name):
 CORRUPTION_FACTOR = 0.1
 
 
+@functools.lru_cache(maxsize=256)
 def corruption_parts(obs, params):
-    """The parts of an integral a corruption may scale, in order of
-    preference: "momentum", the couplings-zeroed momentum part, and
-    "radial", its value at p_phi = 0."""
+    """(name, part) of each part of an integral a corruption may scale, in
+    order of preference: "momentum", the couplings-zeroed momentum part,
+    and "radial", its value at p_phi = 0; one object per key, so the
+    traces cached on them are reused."""
     zeroed = replace(params, k0=0.0, k1=0.0, k2=0.0)
 
     def momentum(_params, r, phi, p_r, p_phi):
@@ -49,7 +51,7 @@ def corruption_parts(obs, params):
     def radial(_params, r, phi, p_r, p_phi):
         return obs(params, r, phi, p_r, 0.0)
 
-    return {"momentum": momentum, "radial": radial}
+    return ("momentum", momentum), ("radial", radial)
 
 
 @functools.lru_cache(maxsize=256)
@@ -57,7 +59,7 @@ def corruption(obs, params, part):
     """obs plus CORRUPTION_FACTOR times its part named `part`, as an
     `Integral` named "<obs> <part>"; one object per key, so the traces
     cached on it are reused."""
-    scaled = corruption_parts(obs, params)[part]
+    scaled = dict(corruption_parts(obs, params))[part]
 
     def corrupt(p, r, phi, p_r, p_phi):
         return obs(p, r, phi, p_r, p_phi) + CORRUPTION_FACTOR * scaled(

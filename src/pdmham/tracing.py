@@ -31,8 +31,8 @@ integral, the (lhs, rhs) pairs of an identity, or one value.  F comes
 from the float trace of F, as in the monitor row, because the value part
 of a dual can differ from the float path by an ulp; the partials come
 from the tangents of one seeded dual pass.  `column_trace` compiles any
-tuple of keys as one trace, cached per tuple: a certificate's every row
-at once, or one key alone.  On columns, traces give their floats point
+tuple of keys as one trace, cached per tuple: a certificate's rows, one
+check's, or one key alone.  On columns, traces give their floats point
 by point: numpy's `+ - * / abs` round as Python's; `sin`, `cos` and `**`
 map math's (`elementwise`), as numpy's own can be an ulp off.
 

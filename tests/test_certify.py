@@ -287,7 +287,7 @@ def test_columns_from_draws_are_the_sampled_points(family, n):
     box = DomainBox(seed=4)
     points = sample_points(params, box, 200)
     cols = _Columns(sample_draws(params, box, 200))
-    assert len(cols) == 200 and cols[:8] == points[:8]
+    assert len(cols) == 200 and [cols[i] for i in range(8)] == points[:8]
     for got, want in zip(cols, points):
         assert struct.pack("4d", *got.as_tuple()) == struct.pack(
             "4d", *want.as_tuple())
@@ -383,6 +383,43 @@ def test_non_finite_residual_raises_naming_check_and_point():
         bracket_residual_suite(params, None, points)
 
 
+# the part a +10% corruption scales, for each bound integral in order, at
+# n = 3 (None: inert); at zero couplings more integrals are single-term
+M, R = "momentum", "radial"
+_PARTS = {
+    (-1.0, 0.5, -0.3): {
+        "geodesic": (R, R, None), "na_central": (None, M, M, M),
+        "na": (M, M, M), "na_prime": (M, M, R, M, M), "nb": (M, M, M),
+        "nc": (None, M, M), "nc1": (M, M), "nc2": (M, M), "nd": (M, M)},
+    (0.0, 0.0, 0.0): {
+        "geodesic": (R, R, None), "na_central": (None, R, R, R),
+        "na": (R, R, None), "na_prime": (R, R, None, R, R),
+        "nb": (R, R, None), "nc": (None, None, None), "nc1": (None, None),
+        "nc2": (None, None), "nd": (None, None)},
+}
+
+
+@pytest.mark.parametrize("couplings,family", [
+    (couplings, family) for couplings in _PARTS for family in sorted(CATALOG)])
+def test_the_corruption_part_of_each_integral(couplings, family):
+    # the choice on the first 8 sample points: the couplings-zeroed
+    # momentum part, else the p_phi-free part, else inert; the suite
+    # corrupts what it chose and lists the rest as inert
+    params = ModelParams(family, 3.0, *couplings)
+    sample = SampleConfig()
+    points = _columns(params, sample)
+    bound = lookup(family).bound
+    want = _PARTS[couplings][family]
+    got = tuple(certify._corrupted(obs, params, points) for obs in bound)
+    assert got == tuple(part and corruption(obs, params, part)
+                        for obs, part in zip(bound, want))
+    results, inert = corruption_suite(params, sample, points)
+    assert inert == tuple(obs.name for obs, part in zip(bound, want)
+                          if part is None)
+    assert set(results) == {obs.name for obs, part in zip(bound, want)
+                            if part is not None}
+
+
 def test_corruption_suite_shape():
     params = ModelParams("nc", 2.0, *COUPLINGS)
     results, inert = corruption_suite(params, _sample(count=60))
@@ -466,8 +503,8 @@ def _bits(residual):
 def _alone(params, sample):
     """{check name: residual} of the certificate's columnar checks, each
     from its public check called alone on fresh columns of the same draws,
-    where every row is traced on its own; and the corruption suite's
-    residuals."""
+    which runs only the rows of its own `_CHECKS` entry as one merged
+    trace; and the corruption suite's residuals."""
     def fresh():
         return _Columns(sample_draws(params, sample.box, sample.count))
 
@@ -504,10 +541,11 @@ def _traced_alone(*_):
                                       for n in (-1.0, 0.5, 2.0, 3.0)])
 def test_public_checks_alone_give_the_certificates_residuals(family, n,
                                                              monkeypatch):
-    # the certificate reads every row of its checks from one merged trace
-    # and traces none on its own; each public check called alone traces
-    # its rows one by one, and gives the certificate's residual bit for
-    # bit, with and without the corruption of each non-inert integral
+    # the certificate reads the rows of every entry of its table from one
+    # merged trace and traces none on its own; each public check called
+    # alone merges only its own entry's rows, and gives the certificate's
+    # residual bit for bit, with and without the corruption of each
+    # non-inert integral
     params = ModelParams(family, n, 0.5, 0.25, 0.125)
     sample, config = SampleConfig(), IntegratorConfig(t_end=1.0)
     want, corrupted = _alone(params, sample)
@@ -524,6 +562,54 @@ def test_public_checks_alone_give_the_certificates_residuals(family, n,
             assert _bits(_check(bad, check).max_residual) == _bits(res)
             assert [c for c in bad.checks if c.name != check] == [
                 c for c in cert.checks if c.name != check]
+
+
+def _public_checks(family):
+    """(name, call) of each public check, as perfbench's traced mode calls
+    them, and of the bracket suite with a corrupted integral."""
+    corrupt = lookup(family).bound[0].name
+    return [
+        ("bracket", bracket_residual_suite),
+        ("corrupted bracket", lambda params, sample, points:
+            bracket_residual_suite(params, sample, points, corrupt)),
+        ("involution", lambda params, sample, points: involution_check(
+            params, sample=sample, points=points)),
+        ("independence", lambda params, sample, points: independence_stats(
+            params, sample, points=points)),
+        ("killing", killing_tensor_check), ("identity", identity_suite),
+        ("algebra", algebra_check), ("evolution", evolution_law_check),
+        ("corruption", corruption_suite)]
+
+
+@pytest.mark.parametrize("family", ["nd", "na_prime", "nc1", "geodesic"])
+def test_a_public_check_alone_compiles_one_merged_trace(family, monkeypatch):
+    # on fresh columns, with no trace cached, a public check compiles one
+    # trace, the merged trace of its entry's rows, and traces no row on
+    # its own; a corrupted integral needs one more, the 8-point trace of
+    # the values that choose its corrupted part
+    params = ModelParams(family, 3.0, 0.5, 0.25, 0.125)
+    sample = SampleConfig(count=300)
+    labels = []
+    real = tracing.compile_traced
+    monkeypatch.setattr(tracing, "compile_traced", lambda fn, label,
+                        columns=False: labels.append(label) or real(
+                            fn, label, columns))
+    monkeypatch.setattr(certify, "on_columns", _traced_alone)
+    probe = f"value_row {lookup(family).bound[0].name} {params} and "
+    for name, call in _public_checks(family):
+        column_trace.cache_clear()
+        labels.clear()
+        try:
+            call(params, sample, _columns(params, sample))
+        except NoQuadraticIntegral:
+            assert family == "geodesic" and name == "killing"
+            assert labels == []
+            continue
+        if "corrupt" in name:
+            assert len(labels) == 2 and labels[0].startswith(probe), labels
+        else:
+            # none where the family carries nothing to read (its algebra)
+            assert len(labels) == (name != "algebra" or family == "na_prime")
 
 
 @pytest.mark.parametrize("family,couplings,message", [

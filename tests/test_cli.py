@@ -303,6 +303,17 @@ def test_config_unknown_key_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("document", ["[1, 2]", "3.5"])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys,
+                                                     document):
+    # valid JSON, but not a flat object of flag values
+    cfg = tmp_path / "run.json"
+    cfg.write_text(document)
+    err = _usage_error(["check", "--config", str(cfg)], capsys)
+    assert f"config {cfg} must be a flat JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_config_malformed_json_rejected(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")

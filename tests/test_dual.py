@@ -1,6 +1,7 @@
 """Dual-scalar arithmetic against hand derivatives and nesting checks."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,27 @@ def test_mixed_dual_dual_operations():
     assert s.val == 3.0 and s.tan == x.tan
     n = -x
     assert n.val == -2.0 and n.tan == (-1.0, 0.0, 0.0, 0.0)
+
+
+def _bits(*floats):
+    return struct.pack(f"{len(floats)}d", *floats)
+
+
+@pytest.mark.parametrize("x,c", [(3.0, 10.0), (-2.5, 0.3), (1e-300, 7.0),
+                                 (-0.0, 4.0), (0.1, -3.0)])
+def test_a_float_operand_gives_the_constant_duals_floats(x, c):
+    # no formula subtracts a float from a Dual or divides a Dual by one:
+    # both give the floats of the same operation with a constant Dual (a
+    # zero tangent subtracts nothing), value x - c and x * (1 / c), which
+    # for 3 / 10 is not x / c
+    d = Dual(x, (1.0, 0.0, 2.5, -3.0))
+    diff, quot = d - c, d / c
+    assert _bits(diff.val) == _bits(x - c)
+    assert _bits(*diff.tan) == _bits(*d.tan)
+    assert _bits(quot.val) == _bits(x * (1.0 / c))
+    assert _bits(*quot.tan) == _bits(*(a * (1.0 / c) for a in d.tan))
+    for got, want in ((diff, d - Dual(c)), (quot, d / Dual(c))):
+        assert _bits(got.val, *got.tan) == _bits(want.val, *want.tan)
 
 
 def test_second_derivative_nesting():

@@ -17,7 +17,8 @@ from oracles import KINETIC, gradient
 from pdmham import tracing
 from pdmham.brackets import poisson_bracket, row_bracket, scaled_residual
 from pdmham.catalog import CATALOG
-from pdmham.certify import _columns, _plan, _residuals, certificate
+from pdmham.certify import (_certificate_rows, _columns, _probe_rows,
+                            _residuals, certificate)
 from pdmham.dual import seed, tangent
 from pdmham.families import hamiltonian
 from pdmham.observables import corruption, integral
@@ -260,13 +261,16 @@ _ZERO_OR_UNIT_POWER = re.compile(
 
 def _family_traces(params):
     """Every trace `integrate` and `pdm check` compile at params: a
-    certificate's merged trace, and each key's own."""
+    certificate's merged trace, its negative control's probe, and each
+    key's own."""
     fam = CATALOG[params.family]
     vector_field.__wrapped__(params)
     monitors.__wrapped__(params)
     monitor_terms.__wrapped__(params)
     points = sample_points(params, DomainBox(seed=3), 20)
-    column_trace.__wrapped__(_plan(params, _columns(params, None, points)))
+    column_trace.__wrapped__(tuple(dict.fromkeys(_certificate_rows(
+        params, _columns(params, None, points)))))
+    column_trace.__wrapped__(tuple(_probe_rows(params, None)))
     keys = [(gradient_row, row_params, fn)
             for row_params, fn, _ in _row_functions(params)]
     keys += [(identity_pairs, params, fn) for _, fn in fam.identities]
