@@ -612,6 +612,42 @@ def test_a_public_check_alone_compiles_one_merged_trace(family, monkeypatch):
             assert len(labels) == (name != "algebra" or family == "na_prime")
 
 
+@pytest.mark.parametrize("family", ["nd", "na_prime", "nc1", "geodesic"])
+def test_a_check_prefetches_exactly_the_rows_it_reads(family, monkeypatch):
+    # each check's declared rows are the keys it reads on the sample's
+    # columns, none missing and none run for nothing; a certificate's are
+    # the union of its checks' (the 8-point probe has columns of its own)
+    params = ModelParams(family, 3.0, 0.5, 0.25, 0.125)
+    sample = SampleConfig(count=50)
+    fetched, read = set(), set()
+    real_prefetch, real_read = _Columns.prefetch, _Columns.read
+
+    def prefetch(self, keys):
+        keys = list(keys)
+        if len(self) == sample.count:
+            fetched.update(keys)
+        return real_prefetch(self, keys)
+
+    def reading(self, *key):
+        if len(self) == sample.count:
+            read.add(key)
+        return real_read(self, *key)
+
+    monkeypatch.setattr(_Columns, "prefetch", prefetch)
+    monkeypatch.setattr(_Columns, "read", reading)
+    calls = _public_checks(family) + [
+        ("certificate", lambda params, sample, _: certificate(
+            params, sample, IntegratorConfig(t_end=1.0)))]
+    for name, call in calls:
+        fetched.clear()
+        read.clear()
+        try:
+            call(params, sample, _columns(params, sample))
+        except NoQuadraticIntegral:
+            continue
+        assert fetched == read, name
+
+
 @pytest.mark.parametrize("family,couplings,message", [
     ("nc", (1e308, 0.25, 0.125),
      "H is inf at the sample point (r, phi, p_r, p_phi) = "
